@@ -5,9 +5,11 @@
 //! output to `results/<name>.txt`. A second invocation is all cache hits
 //! and re-renders without simulating anything.
 //!
-//! `--only fig15ab,fig07` restricts the outputs; `--jobs N`, `--fresh`,
-//! `--scale`, `--cache-dir`, and `--out-dir` behave as in every other
-//! binary (`--preprocess` is ignored: both variants are rendered).
+//! `--only fig15ab,fig07` restricts the outputs (names as in
+//! [`figures::all_outputs`]; the randomized and DFS-preprocessed variants
+//! are separate outputs, e.g. `fig15ab`/`fig15cd`); `--jobs N`, `--fresh`,
+//! `--scale`, `--cache-dir`, `--out-dir`, `--apps`, and `--inputs`
+//! behave as in every other binary.
 //!
 //! `--sanitize` (requires building with `--features sanitize`) runs every
 //! cell under the SimSanitizer, bypassing the results cache, and exits

@@ -3,7 +3,6 @@
 //! Flags (all optional, unknown flags are ignored for compatibility):
 //!
 //! * `--scale tiny|bench|large` — input generation scale (default bench).
-//! * `--preprocess` — run the DFS-preprocessed variant of the figure.
 //! * `--apps PR,BFS` / `--inputs arb,ukl` — restrict sweep figures.
 //! * `--jobs N` — worker threads for cache misses (default: all cores).
 //! * `--fresh` — ignore memoized outcomes and re-simulate everything.
@@ -50,7 +49,8 @@
 //!   gates catch a mis-modeled codec; `1.0` is the honest model). For
 //!   `dcl-lint --liveness-corpus`, `X < 1` instead shrinks the liveness
 //!   drive protocol's per-group budgets (a too-shallow checker must
-//!   fail the gate).
+//!   fail the gate); for `dcl-lint --equiv-corpus`, any `X` but `1.0`
+//!   swaps in the shallow sink-set comparator.
 //! * `--suggest` — `dcl-perf`: run the static codec-selection pass
 //!   ([`spzip_core::suggest`]) instead of the perf report; emits `A0xx`
 //!   advisories plus a machine-readable rewiring plan. Advisories never
@@ -90,8 +90,6 @@ pub enum OutputFormat {
 pub struct CommonArgs {
     /// Input generation scale.
     pub scale: Scale,
-    /// Render/run the preprocessed (`--preprocess`) variant.
-    pub preprocess: bool,
     /// Application filter (`--apps`), by paper abbreviation.
     pub apps: Option<Vec<String>>,
     /// Input filter (`--inputs`), by dataset short name.
@@ -137,8 +135,9 @@ pub struct CommonArgs {
     pub format: OutputFormat,
     /// Run the model-vs-simulator gate (`--crosscheck`, `dcl-perf`).
     pub crosscheck: bool,
-    /// Perturb codec-derived predictions (`dcl-perf`) or the liveness
-    /// drive depth (`dcl-lint --liveness-corpus`) (`--perturb-ratio`).
+    /// Perturb codec-derived predictions (`dcl-perf`), the liveness
+    /// drive depth (`dcl-lint --liveness-corpus`) or the equiv
+    /// comparator (`dcl-lint --equiv-corpus`) (`--perturb-ratio`).
     pub perturb_ratio: Option<f64>,
     /// Run the codec-selection pass (`--suggest`, `dcl-perf`).
     pub suggest: bool,
@@ -160,7 +159,6 @@ pub fn parse() -> CommonArgs {
 pub fn parse_from(args: &[String]) -> CommonArgs {
     let mut parsed = CommonArgs {
         scale: Scale::Bench,
-        preprocess: false,
         apps: None,
         inputs: None,
         only: None,
@@ -206,10 +204,6 @@ pub fn parse_from(args: &[String]) -> CommonArgs {
                 if i + 1 < consumed.len() {
                     consumed[i + 1] = true;
                 }
-            }
-            "--preprocess" => {
-                parsed.preprocess = true;
-                consumed[i] = true;
             }
             "--apps" | "--inputs" | "--only" | "--jobs" | "--cache-dir" | "--out-dir" => {
                 match a.as_str() {
@@ -340,13 +334,8 @@ pub fn parse_from(args: &[String]) -> CommonArgs {
 }
 
 impl CommonArgs {
-    /// The sweep options these flags select.
-    pub fn sweep(&self) -> SweepOpts {
-        self.sweep_with(self.preprocess)
-    }
-
-    /// Sweep options with an explicit preprocessed/randomized choice
-    /// (`bench_all` renders both variants regardless of `--preprocess`).
+    /// The sweep options these flags select, for the randomized
+    /// (`preprocess: false`) or DFS-preprocessed variant of an output.
     pub fn sweep_with(&self, preprocess: bool) -> SweepOpts {
         SweepOpts {
             scale: self.scale,
@@ -556,7 +545,6 @@ mod tests {
     fn defaults() {
         let a = parse_from(&[]);
         assert_eq!(a.scale, Scale::Bench);
-        assert!(!a.preprocess);
         assert!(!a.fresh);
         assert!(a.jobs >= 1);
         assert_eq!(a.cache_dir, PathBuf::from("results/cache"));
@@ -565,11 +553,10 @@ mod tests {
     #[test]
     fn parses_every_flag() {
         let a = parse_from(&argv(
-            "--scale tiny --preprocess --apps PR,BFS --inputs arb --only fig07 \
+            "--scale tiny --apps PR,BFS --inputs arb --only fig07 \
              --jobs 3 --fresh --sanitize --deny-warnings --cache-dir /tmp/c --out-dir /tmp/o",
         ));
         assert_eq!(a.scale, Scale::Tiny);
-        assert!(a.preprocess);
         assert_eq!(
             a.apps.as_deref(),
             Some(&["PR".to_string(), "BFS".to_string()][..])

@@ -61,7 +61,6 @@ pub const SPEEDUP_FLOORS: [(&str, f64); 3] = [("delta", 5.0), ("bpc32", 10.0), (
 pub const REGRESSION_FLOOR: f64 = 0.8;
 
 /// The builtin streams: the data shapes the engines actually see.
-/// Shared with the criterion bench so both report on identical inputs.
 pub fn builtin_streams() -> Vec<(&'static str, Vec<u64>)> {
     // Clustered neighbor ids (preprocessed adjacency).
     let clustered: Vec<u64> = (0..4096u64).map(|i| 1_000_000 + (i * 7) % 512).collect();

@@ -34,7 +34,8 @@
 //! `--equiv-corpus` runs the seeded semantics-breaking rewrite gate in
 //! [`crate::equiv_corpus`]: each seed must be refuted statically with the
 //! expected V-code AND produce divergent output under the functional
-//! engine. `--equiv` certifies every builtin against its auto-codec
+//! engine. All three print and exit through the shared [`crate::corpus`]
+//! harness. `--equiv` certifies every builtin against its auto-codec
 //! rewiring with the [`spzip_core::equiv`] translation validator and
 //! cross-checks every codec's kernel-vs-reference binding.
 //! `--explain CODE` prints the [`crate::explain`] registry entry for any
@@ -47,6 +48,7 @@
 //! not do its job (an unreadable file, or nothing to lint at all).
 
 use crate::cli::CommonArgs;
+use crate::{corpus, equiv_corpus, liveness_corpus, shape_corpus};
 use spzip_core::lint::{self, Severity};
 use spzip_core::parser;
 use std::collections::{BTreeSet, HashMap};
@@ -325,13 +327,24 @@ pub fn run(args: &CommonArgs) -> i32 {
         return crate::explain::run(code);
     }
     if args.shape_corpus {
-        return crate::shape_corpus::run_gate(args.format);
+        return corpus::run_gate("shape", &shape_corpus::run_corpus(), args.format);
     }
     if args.liveness_corpus {
-        return crate::liveness_corpus::run_gate(args.format, args.perturb_ratio);
+        let cfg = liveness_corpus::drive_config(args.perturb_ratio);
+        let rows = liveness_corpus::run_corpus_with(&cfg);
+        return corpus::run_gate("liveness", &rows, args.format);
     }
     if args.equiv_corpus {
-        return crate::equiv_corpus::run_gate(args.format, args.perturb_ratio);
+        let mut rows = equiv_corpus::run_corpus();
+        // CI's must-fail leg: any ratio but 1.0 swaps in the shallow
+        // sink-set comparator.
+        if args
+            .perturb_ratio
+            .is_some_and(|x| (x - 1.0).abs() > f64::EPSILON)
+        {
+            equiv_corpus::apply_shallow(&mut rows);
+        }
+        return corpus::run_gate("equiv", &rows, args.format);
     }
     let mut report = LintReport::default();
     if args.equiv {

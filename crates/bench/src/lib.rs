@@ -11,9 +11,9 @@
 //!   inputs, and memoizes serialized outcomes under `results/cache/`.
 //! * [`cli`] — the shared flag parser every binary uses.
 //!
-//! Each figure still has a standalone binary in `src/bin/`; `bench_all`
-//! regenerates everything in one process so overlapping cells (e.g. the
-//! Fig. 15/16/17 sweeps) are simulated exactly once. The [`dcl_lint`]
+//! `bench_all` regenerates every output in one process, so overlapping
+//! cells (e.g. the Fig. 15/16/17 sweeps) are simulated exactly once;
+//! `bench_all --only NAME` renders a single figure or table. The [`dcl_lint`]
 //! module backs the `dcl-lint` binary, which statically analyzes `.dcl`
 //! files and every built-in pipeline with [`spzip_core::lint`] and the
 //! shape-and-bounds verifier ([`spzip_core::shape`]); the
@@ -24,11 +24,14 @@
 //! seeded cross-queue deadlock differential gate (static D-code vs.
 //! counterexample replay to the machine watchdog), [`equiv_corpus`] is
 //! the translation validator's seeded-rewrite differential gate (static
-//! V-code vs. divergence under the functional engine), and [`explain`]
-//! is the `--explain CODE` registry spanning every diagnostic family.
+//! V-code vs. divergence under the functional engine), [`corpus`] is the
+//! harness those three share (row type, reports, exit code, quiet
+//! panics), and [`explain`] is the `--explain CODE` registry spanning
+//! every diagnostic family.
 
 pub mod cli;
 pub mod codec_bench;
+pub mod corpus;
 pub mod crosscheck;
 pub mod dcl_lint;
 pub mod dcl_perf;

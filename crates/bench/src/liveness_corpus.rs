@@ -24,7 +24,7 @@
 //! gate; CI keeps it green and keeps it *able to fail* (a must-fail leg
 //! checks a seeded entry is still caught).
 
-use crate::cli::{json_envelope, OutputFormat, ToolCounts};
+use crate::corpus::GateRow;
 use spzip_compress::CodecKind;
 use spzip_core::dcl::{MemQueueMode, OperatorKind, Pipeline, PipelineBuilder, RangeInput};
 use spzip_core::func::FuncEngine;
@@ -35,37 +35,6 @@ use spzip_core::QueueId;
 use spzip_mem::DataClass;
 use spzip_sim::{CoreWork, DeadlockReport, Event, Machine, MachineConfig};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
-/// One corpus verdict: what the checker said and what the machine did.
-#[derive(Debug)]
-pub struct GateRow {
-    /// Entry name (stable, used in CI output).
-    pub name: String,
-    /// The D-code a seeded entry must trigger; `None` for controls,
-    /// which must verify clean.
-    pub expected: Option<Code>,
-    /// Codes the liveness checker reported.
-    pub static_codes: Vec<Code>,
-    /// Seeded entries: the counterexample replay tripped the machine
-    /// watchdog. Controls: the default drive completed without it.
-    pub dynamic_confirmed: bool,
-    /// Whether the pipeline is clean of the per-queue capacity lints
-    /// (E013/E014/E019) — i.e. this deadlock is invisible to them.
-    pub queue_lint_clean: bool,
-    /// Short description of the dynamic observation.
-    pub detail: String,
-}
-
-impl GateRow {
-    /// Whether this row upholds the gate's contract.
-    pub fn passes(&self) -> bool {
-        match self.expected {
-            Some(code) => self.static_codes.contains(&code) && self.dynamic_confirmed,
-            None => self.static_codes.is_empty() && self.dynamic_confirmed,
-        }
-    }
-}
 
 // ---- drive replay ------------------------------------------------------
 
@@ -253,7 +222,7 @@ fn row_for(
         expected,
         static_codes,
         dynamic_confirmed,
-        queue_lint_clean,
+        extra: Some(("queue_lint_clean", queue_lint_clean)),
         detail,
     }
 }
@@ -593,96 +562,13 @@ pub fn drive_config(perturb: Option<f64>) -> LivenessConfig {
     cfg
 }
 
-/// Renders the corpus as text, one verdict per line.
-pub fn render_text(rows: &[GateRow]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        let codes: Vec<String> = r.static_codes.iter().map(|c| c.to_string()).collect();
-        let _ = writeln!(
-            out,
-            "{:5} {:<24} expect {:<6} static [{}] dynamic {} — {}",
-            if r.passes() { "ok" } else { "FAIL" },
-            r.name,
-            r.expected.map_or("clean".to_string(), |c| c.to_string()),
-            codes.join(","),
-            if r.dynamic_confirmed {
-                "confirmed"
-            } else {
-                "MISSED"
-            },
-            r.detail
-        );
-    }
-    let failed = rows.iter().filter(|r| !r.passes()).count();
-    let _ = writeln!(
-        out,
-        "liveness corpus: {} entr{} checked, {} failed",
-        rows.len(),
-        if rows.len() == 1 { "y" } else { "ies" },
-        failed
-    );
-    out
-}
-
-/// Renders the corpus in the shared tool JSON envelope.
-pub fn render_json(rows: &[GateRow]) -> String {
-    let counts = ToolCounts {
-        checked: rows.len(),
-        errors: rows.iter().filter(|r| !r.passes()).count(),
-        warnings: 0,
-        io_errors: 0,
-    };
-    let pipelines: Vec<(String, String)> = rows
-        .iter()
-        .map(|r| {
-            let codes: Vec<String> = r.static_codes.iter().map(|c| format!("\"{c}\"")).collect();
-            let body = format!(
-                "\"expected\":{},\"static_codes\":[{}],\"dynamic_confirmed\":{},\"queue_lint_clean\":{},\"pass\":{}",
-                r.expected
-                    .map_or("null".to_string(), |c| format!("\"{c}\"")),
-                codes.join(","),
-                r.dynamic_confirmed,
-                r.queue_lint_clean,
-                r.passes()
-            );
-            (r.name.clone(), body)
-        })
-        .collect();
-    json_envelope(&counts, &pipelines, &[])
-}
-
-/// Runs the gate and prints the report; the exit code is 0 iff every
-/// seeded deadlock is caught twice and every control is clean twice.
-/// `perturb` (CI's must-fail leg) shrinks the drive protocol via
-/// [`drive_config`].
-pub fn run_gate(format: OutputFormat, perturb: Option<f64>) -> i32 {
-    let rows = run_corpus_with(&drive_config(perturb));
-    match format {
-        OutputFormat::Json => print!("{}", render_json(&rows)),
-        // Gate rows carry no per-diagnostic records; SARIF falls back to text.
-        OutputFormat::Text | OutputFormat::Sarif => print!("{}", render_text(&rows)),
-    }
-    i32::from(rows.iter().any(|r| !r.passes()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn gate_catches_every_seed_and_clears_every_control() {
-        let rows = run_corpus();
-        for r in &rows {
-            assert!(
-                r.passes(),
-                "{}: expected {:?}, static {:?}, dynamic confirmed: {} ({})",
-                r.name,
-                r.expected,
-                r.static_codes,
-                r.dynamic_confirmed,
-                r.detail
-            );
-        }
+        crate::corpus::assert_gate_passes(&run_corpus());
     }
 
     #[test]
@@ -715,6 +601,8 @@ mod tests {
         codes.dedup();
         assert!(codes.len() >= 5, "distinct codes: {codes:?}");
         assert!(rows.iter().any(|r| r.expected.is_none()), "has controls");
+        let cycle = rows.iter().find(|r| r.name == "mqu-range-cycle");
+        assert_eq!(cycle.and_then(|r| r.expected), Some(Code::D001));
     }
 
     #[test]
@@ -724,20 +612,8 @@ mod tests {
         let rows = run_corpus();
         let clean = rows
             .iter()
-            .filter(|r| r.expected.is_some() && r.queue_lint_clean)
+            .filter(|r| r.expected.is_some() && r.extra == Some(("queue_lint_clean", true)))
             .count();
         assert!(clean >= 2, "only {clean} seeds pass the capacity lints");
-    }
-
-    #[test]
-    fn reports_render_both_formats() {
-        let rows = run_corpus();
-        let text = render_text(&rows);
-        assert!(text.contains("mqu-range-cycle"), "{text}");
-        assert!(text.contains("liveness corpus:"), "{text}");
-        let json = render_json(&rows);
-        assert!(json.contains("\"expected\":\"D001\""), "{json}");
-        assert!(json.contains("\"pass\":true"), "{json}");
-        assert!(json.contains("\"expected\":null"), "controls: {json}");
     }
 }

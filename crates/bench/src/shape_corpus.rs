@@ -19,65 +19,16 @@
 //! too lax (a seeded bug escapes) or too strict (an honest pipeline is
 //! rejected). `dcl-lint --shape-corpus` runs the gate; CI keeps it green.
 
-use crate::cli::{json_envelope, OutputFormat, ToolCounts};
+use crate::corpus::{panics, pattern, quietly, values_of, workload, GateRow};
 use spzip_apps::layout::Workload;
 use spzip_apps::pipelines;
-use spzip_apps::{Scheme, SchemeConfig};
+use spzip_apps::SchemeConfig;
 use spzip_compress::CodecKind;
 use spzip_core::dcl::{MemQueueMode, OperatorKind, Pipeline, PipelineBuilder, RangeInput};
 use spzip_core::func::FuncEngine;
 use spzip_core::lint::Code;
 use spzip_core::shape::{self, InputDomain, MemorySchema};
-use spzip_core::QueueItem;
-use spzip_graph::gen::{community, CommunityParams};
 use spzip_mem::DataClass;
-use std::fmt::Write as _;
-use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
-
-/// One corpus verdict: what the verifier said and what the engine did.
-#[derive(Debug)]
-pub struct GateRow {
-    /// Entry name (stable, used in CI output).
-    pub name: String,
-    /// The B-code a seeded entry must trigger; `None` for controls,
-    /// which must verify clean.
-    pub expected: Option<Code>,
-    /// Codes the shape verifier reported.
-    pub static_codes: Vec<Code>,
-    /// Seeded entries: the functional engine observably misbehaved.
-    /// Controls: the honest drive completed with the expected results.
-    pub dynamic_confirmed: bool,
-    /// Short description of the dynamic observation.
-    pub detail: String,
-}
-
-impl GateRow {
-    /// Whether this row upholds the gate's contract.
-    pub fn passes(&self) -> bool {
-        match self.expected {
-            Some(code) => self.static_codes.contains(&code) && self.dynamic_confirmed,
-            None => self.static_codes.is_empty() && self.dynamic_confirmed,
-        }
-    }
-}
-
-/// The corpus workload: UB+SpZip (bins, compressed adjacency, compressed
-/// vertex slices all present), all-active, small enough to drive in
-/// milliseconds but large enough that every bounds margin is non-trivial.
-fn workload() -> (Workload, SchemeConfig) {
-    let cfg = Scheme::UbSpzip.config();
-    let g = Arc::new(community(&CommunityParams::web_crawl(1 << 12, 8), 7));
-    let w = Workload::build(g, &cfg, 2, 16 * 1024, true);
-    (w, cfg)
-}
-
-/// Runs `f`, reporting whether it panicked (memory guard, MemQueue
-/// assert, corrupt-stream decode). The caller suppresses the default
-/// panic hook around the whole corpus so expected panics stay quiet.
-fn panics<F: FnOnce()>(f: F) -> bool {
-    std::panic::catch_unwind(AssertUnwindSafe(f)).is_err()
-}
 
 fn verify_codes(p: &Pipeline, schema: &MemorySchema) -> Vec<Code> {
     shape::verify(p, schema)
@@ -85,19 +36,6 @@ fn verify_codes(p: &Pipeline, schema: &MemorySchema) -> Vec<Code> {
         .iter()
         .map(|d| d.code)
         .collect()
-}
-
-fn values_of(items: &[QueueItem]) -> Vec<u64> {
-    items
-        .iter()
-        .filter(|i| !i.is_marker())
-        .map(|i| i.value())
-        .collect()
-}
-
-/// Fills `src`-style u32 arrays with a distinctive per-index pattern.
-fn pattern(i: u64) -> u32 {
-    (i as u32).wrapping_mul(2654435761) ^ 0xA5A5_0000
 }
 
 // ---- seeded entries ----------------------------------------------------
@@ -143,6 +81,7 @@ fn wrong_width_indirect() -> GateRow {
         expected: Some(Code::B003),
         static_codes,
         dynamic_confirmed: confirmed,
+        extra: None,
         detail: format!("fetched {got:?}, honest read is [{}]", pattern(3)),
     }
 }
@@ -206,6 +145,7 @@ fn wrong_codec_decompress() -> GateRow {
         expected: Some(Code::B004),
         static_codes,
         dynamic_confirmed: confirmed,
+        extra: None,
         detail: if panicked {
             "corrupt-stream panic".into()
         } else {
@@ -257,6 +197,7 @@ fn off_by_one_extent() -> GateRow {
         expected: Some(Code::B002),
         static_codes,
         dynamic_confirmed: panicked,
+        extra: None,
         detail: if panicked {
             "last id read past the sentinel into the guard page".into()
         } else {
@@ -304,6 +245,7 @@ fn unmapped_base() -> GateRow {
         expected: Some(Code::B001),
         static_codes,
         dynamic_confirmed: panicked,
+        extra: None,
         detail: if panicked {
             "fetch hit an unmapped address".into()
         } else {
@@ -401,6 +343,7 @@ fn bin_id_overflow() -> GateRow {
         expected: Some(Code::B002),
         static_codes,
         dynamic_confirmed: panicked,
+        extra: None,
         detail: if panicked {
             "MemQueue bin-id assert tripped".into()
         } else {
@@ -441,6 +384,7 @@ fn mqu_footprint_overflow() -> GateRow {
         expected: Some(Code::B008),
         static_codes,
         dynamic_confirmed: panicked,
+        extra: None,
         detail: if panicked {
             "last bin's append crossed the region end".into()
         } else {
@@ -515,6 +459,7 @@ fn wrong_decoded_width() -> GateRow {
         expected: Some(Code::B006),
         static_codes,
         dynamic_confirmed: confirmed,
+        extra: None,
         detail: format!(
             "decoded items carry {:?}-byte widths, schema promises 8",
             costs.first().copied().unwrap_or(0)
@@ -583,6 +528,7 @@ fn raw_into_framed_write() -> GateRow {
         expected: Some(Code::B005),
         static_codes,
         dynamic_confirmed: confirmed,
+        extra: None,
         detail: match decode {
             Err(e) => format!("frame decode failed: {e:?}"),
             Ok(()) => "frame decode produced the wrong values".into(),
@@ -640,6 +586,7 @@ fn control_indirect() -> GateRow {
         expected: None,
         static_codes,
         dynamic_confirmed: !panicked && got == expect,
+        extra: None,
         detail: "honest 4-byte fetches round-trip".into(),
     }
 }
@@ -700,6 +647,7 @@ fn control_decompress() -> GateRow {
         expected: None,
         static_codes,
         dynamic_confirmed: !panicked && got == expect,
+        extra: None,
         detail: "group 0 decodes to its raw neighbor rows".into(),
     }
 }
@@ -772,6 +720,7 @@ fn control_roundtrip_write() -> GateRow {
         expected: None,
         static_codes,
         dynamic_confirmed: ok && decoded == expect,
+        extra: None,
         detail: "compressed write decodes back to its source".into(),
     }
 }
@@ -793,101 +742,31 @@ fn control_binning() -> GateRow {
         expected: None,
         static_codes,
         dynamic_confirmed: !panicked,
+        extra: None,
         detail: "builtin binning compressor bins one update cleanly".into(),
     }
 }
 
 /// Runs the full corpus: every seeded miswiring and every control.
 pub fn run_corpus() -> Vec<GateRow> {
-    // Expected panics are part of the contract; keep their default-hook
-    // backtraces out of the gate's output.
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let rows = vec![
-        wrong_width_indirect(),
-        wrong_codec_decompress(),
-        off_by_one_extent(),
-        unmapped_base(),
-        bin_id_overflow(),
-        mqu_footprint_overflow(),
-        wrong_decoded_width(),
-        raw_into_framed_write(),
-        control_indirect(),
-        control_decompress(),
-        control_roundtrip_write(),
-        control_binning(),
-    ];
-    std::panic::set_hook(prev);
-    rows
-}
-
-/// Renders the corpus as text, one verdict per line.
-pub fn render_text(rows: &[GateRow]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        let codes: Vec<String> = r.static_codes.iter().map(|c| c.to_string()).collect();
-        let _ = writeln!(
-            out,
-            "{:5} {:<24} expect {:<6} static [{}] dynamic {} — {}",
-            if r.passes() { "ok" } else { "FAIL" },
-            r.name,
-            r.expected.map_or("clean".to_string(), |c| c.to_string()),
-            codes.join(","),
-            if r.dynamic_confirmed {
-                "confirmed"
-            } else {
-                "MISSED"
-            },
-            r.detail
-        );
-    }
-    let failed = rows.iter().filter(|r| !r.passes()).count();
-    let _ = writeln!(
-        out,
-        "shape corpus: {} entr{} checked, {} failed",
-        rows.len(),
-        if rows.len() == 1 { "y" } else { "ies" },
-        failed
-    );
-    out
-}
-
-/// Renders the corpus in the shared tool JSON envelope.
-pub fn render_json(rows: &[GateRow]) -> String {
-    let counts = ToolCounts {
-        checked: rows.len(),
-        errors: rows.iter().filter(|r| !r.passes()).count(),
-        warnings: 0,
-        io_errors: 0,
-    };
-    let pipelines: Vec<(String, String)> = rows
-        .iter()
-        .map(|r| {
-            let codes: Vec<String> = r.static_codes.iter().map(|c| format!("\"{c}\"")).collect();
-            let body = format!(
-                "\"expected\":{},\"static_codes\":[{}],\"dynamic_confirmed\":{},\"pass\":{}",
-                r.expected
-                    .map_or("null".to_string(), |c| format!("\"{c}\"")),
-                codes.join(","),
-                r.dynamic_confirmed,
-                r.passes()
-            );
-            (r.name.clone(), body)
-        })
-        .collect();
-    json_envelope(&counts, &pipelines, &[])
-}
-
-/// Runs the gate and prints the report; the exit code is 0 iff every
-/// seeded bug is caught twice and every control is clean twice.
-pub fn run_gate(format: OutputFormat) -> i32 {
-    let rows = run_corpus();
-    match format {
-        OutputFormat::Json => print!("{}", render_json(&rows)),
-        // Gate rows carry no per-diagnostic records; SARIF falls back to text.
-        OutputFormat::Text | OutputFormat::Sarif => print!("{}", render_text(&rows)),
-    }
-    i32::from(rows.iter().any(|r| !r.passes()))
+    // Expected panics are part of the contract; keep them out of the
+    // gate's output.
+    quietly(|| {
+        vec![
+            wrong_width_indirect(),
+            wrong_codec_decompress(),
+            off_by_one_extent(),
+            unmapped_base(),
+            bin_id_overflow(),
+            mqu_footprint_overflow(),
+            wrong_decoded_width(),
+            raw_into_framed_write(),
+            control_indirect(),
+            control_decompress(),
+            control_roundtrip_write(),
+            control_binning(),
+        ]
+    })
 }
 
 #[cfg(test)]
@@ -896,18 +775,7 @@ mod tests {
 
     #[test]
     fn gate_catches_every_seeded_bug_and_clears_every_control() {
-        let rows = run_corpus();
-        for r in &rows {
-            assert!(
-                r.passes(),
-                "{}: expected {:?}, static {:?}, dynamic confirmed: {} ({})",
-                r.name,
-                r.expected,
-                r.static_codes,
-                r.dynamic_confirmed,
-                r.detail
-            );
-        }
+        crate::corpus::assert_gate_passes(&run_corpus());
     }
 
     #[test]
@@ -920,15 +788,17 @@ mod tests {
         codes.dedup();
         assert!(codes.len() >= 5, "distinct codes: {codes:?}");
         assert!(rows.iter().any(|r| r.expected.is_none()), "has controls");
+        let wrong_codec = rows.iter().find(|r| r.name == "wrong-codec-decompress");
+        assert_eq!(wrong_codec.and_then(|r| r.expected), Some(Code::B004));
     }
 
     #[test]
     fn reports_render_both_formats() {
         let rows = run_corpus();
-        let text = render_text(&rows);
+        let text = crate::corpus::render_text("shape", &rows);
         assert!(text.contains("wrong-codec-decompress"), "{text}");
         assert!(text.contains("shape corpus:"), "{text}");
-        let json = render_json(&rows);
+        let json = crate::corpus::render_json(&rows);
         assert!(json.contains("\"expected\":\"B004\""), "{json}");
         assert!(json.contains("\"pass\":true"), "{json}");
         assert!(json.contains("\"expected\":null"), "controls: {json}");
