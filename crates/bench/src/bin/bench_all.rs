@@ -7,20 +7,29 @@
 //!
 //! `--only fig15ab,fig07` restricts the outputs (names as in
 //! [`figures::all_outputs`]; the randomized and DFS-preprocessed variants
-//! are separate outputs, e.g. `fig15ab`/`fig15cd`); `--jobs N`, `--fresh`,
-//! `--scale`, `--cache-dir`, `--out-dir`, `--apps`, and `--inputs`
-//! behave as in every other binary.
+//! are separate outputs, e.g. `fig15ab`/`fig15cd`); the other flags are
+//! documented on [`spzip_bench::cli::BenchAllArgs`].
 //!
 //! `--sanitize` (requires building with `--features sanitize`) runs every
 //! cell under the SimSanitizer, bypassing the results cache, and exits
 //! non-zero if any run reports a violation.
+//!
+//! Exits 2 when an argument is refused or an output cannot be written.
 
+use spzip_bench::cli::{parse_or_exit, BenchAllArgs};
 use spzip_bench::driver::Driver;
-use spzip_bench::{cli, figures};
+use spzip_bench::figures;
 use std::fs;
+use std::path::Path;
+
+/// Reports an output that cannot be written and exits 2.
+fn cannot_write(path: &Path, e: std::io::Error) -> ! {
+    eprintln!("bench_all: cannot write {}: {e}", path.display());
+    std::process::exit(2)
+}
 
 fn main() {
-    let args = cli::parse();
+    let args = parse_or_exit("bench_all", BenchAllArgs::USAGE, BenchAllArgs::parse);
     if args.sanitize && !spzip_bench::sanitize_supported() {
         eprintln!(
             "error: --sanitize needs the SimSanitizer compiled in; rebuild with\n  \
@@ -51,12 +60,11 @@ fn main() {
     let driver = Driver::new(args.driver_options());
     let memo = driver.execute(&cells);
 
-    fs::create_dir_all(&args.out_dir)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", args.out_dir.display()));
+    fs::create_dir_all(&args.out_dir).unwrap_or_else(|e| cannot_write(&args.out_dir, e));
     for o in &outputs {
         let text = (o.render)(&args.sweep_with(o.preprocess), &memo);
         let path = args.out_dir.join(format!("{}.txt", o.name));
-        fs::write(&path, &text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+        fs::write(&path, &text).unwrap_or_else(|e| cannot_write(&path, e));
         println!("wrote {}", path.display());
     }
     let st = driver.stats();

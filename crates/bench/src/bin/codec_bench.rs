@@ -16,136 +16,11 @@
 //! codec's kernel-over-reference decode speedup regressed more than 20%
 //! below the trajectory, or if the trajectory itself is below a codec's
 //! speedup floor (≥10× for BPC, ≥5× for delta). Exits 0 on success, 1 on
-//! a failed gate, 2 when a file cannot be read — the `dcl-lint`/`dcl-perf`
-//! ladder, and `--format json` emits the same envelope those tools share
-//! ([`spzip_bench::cli::trajectory_json`]).
-
-use spzip_bench::cli::{tool_exit_code, trajectory_json, ToolCounts};
-use spzip_bench::codec_bench::{check_against, BenchReport, REQUIRED_CODECS};
+//! a failed gate, 2 when a file cannot be read or an argument is refused —
+//! the `dcl-lint`/`dcl-perf` ladder, and `--format json` emits the same
+//! envelope those tools share ([`spzip_bench::cli::trajectory_json`]). The
+//! driver is shared with `sanitize-bench` ([`spzip_bench::trajectory`]).
 
 fn main() {
-    std::process::exit(run(&std::env::args().skip(1).collect::<Vec<_>>()));
-}
-
-fn run(args: &[String]) -> i32 {
-    let mut measure_ms = 200u64;
-    let mut out_path = String::from("BENCH_codecs.json");
-    let mut check_path: Option<String> = None;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--measure-ms" => {
-                if let Some(ms) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-                    measure_ms = ms.max(1);
-                }
-                i += 1;
-            }
-            "--out" => {
-                if let Some(p) = args.get(i + 1) {
-                    out_path = p.clone();
-                }
-                i += 1;
-            }
-            "--check" => {
-                if let Some(p) = args.get(i + 1) {
-                    check_path = Some(p.clone());
-                }
-                i += 1;
-            }
-            "--format" => {
-                json = args.get(i + 1).map(String::as_str) == Some("json");
-                i += 1;
-            }
-            other => {
-                eprintln!("codec-bench: ignoring unknown flag {other:?}");
-            }
-        }
-        i += 1;
-    }
-
-    if let Some(path) = check_path {
-        let mut counts = ToolCounts::default();
-        let emit = |counts: &ToolCounts,
-                    summary: &[String],
-                    gate_errors: &[String],
-                    failures: &[(String, String)]| {
-            if json {
-                print!(
-                    "{}",
-                    trajectory_json("codec-bench", counts, summary, gate_errors, failures)
-                );
-            } else {
-                for line in summary {
-                    println!("{line}");
-                }
-                for e in gate_errors {
-                    eprintln!("codec-bench: FAIL: {e}");
-                }
-                for (name, e) in failures {
-                    eprintln!("codec-bench: {name}: {e}");
-                }
-                if gate_errors.is_empty() && failures.is_empty() {
-                    println!("codec-bench: trajectory check passed");
-                }
-            }
-        };
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                counts.io_errors = 1;
-                emit(&counts, &[], &[], &[(path, format!("cannot read: {e}"))]);
-                return tool_exit_code(&counts, false);
-            }
-        };
-        let checked_in = match BenchReport::from_json(&text) {
-            Ok(r) => r,
-            Err(e) => {
-                counts.errors = 1;
-                emit(
-                    &counts,
-                    &[],
-                    &[],
-                    &[(path, format!("failed schema validation: {e}"))],
-                );
-                return tool_exit_code(&counts, false);
-            }
-        };
-        eprintln!("codec-bench: measuring ({measure_ms} ms/cell)...");
-        let fresh = BenchReport::measure(measure_ms);
-        counts.checked = REQUIRED_CODECS.len();
-        match check_against(&fresh, &checked_in) {
-            Ok(summary) => {
-                emit(&counts, &summary, &[], &[]);
-            }
-            Err(errors) => {
-                counts.errors = errors.len();
-                emit(&counts, &[], &errors, &[]);
-            }
-        }
-        tool_exit_code(&counts, false)
-    } else {
-        eprintln!("codec-bench: measuring ({measure_ms} ms/cell)...");
-        let report = BenchReport::measure(measure_ms);
-        if let Err(errors) = report.validate() {
-            for e in errors {
-                eprintln!("codec-bench: FAIL: {e}");
-            }
-            return 1;
-        }
-        if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-            eprintln!("codec-bench: cannot write {out_path}: {e}");
-            return 2;
-        }
-        for codec in REQUIRED_CODECS {
-            if let Some(s) = report.decode_speedup(codec) {
-                println!("{codec}: decode speedup {s:.2}x over scalar reference");
-            }
-        }
-        println!(
-            "codec-bench: wrote {out_path} ({} records)",
-            report.records.len()
-        );
-        0
-    }
+    spzip_bench::codec_bench::TRAJECTORY.main()
 }

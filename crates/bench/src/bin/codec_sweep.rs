@@ -10,40 +10,20 @@
 //! Every cell prices one codec on one workload stream with the same
 //! calibrated flow model the suggestion pass uses; the starred cell per
 //! row is the codec `--suggest` would pick for that stream. Exits 0 on
-//! success, 2 when a rates file exists but cannot be parsed.
+//! success, 2 when a rates file exists but cannot be parsed or an argument
+//! is refused ([`spzip_bench::cli::SweepArgs`]).
 
+use spzip_bench::cli::{parse_or_exit, OutputFormat, SweepArgs};
 use spzip_bench::dcl_perf::load_rates;
 use spzip_bench::suggest_sweep::{render, render_json, sweep};
-use std::path::PathBuf;
 
 fn main() {
-    std::process::exit(run(&std::env::args().skip(1).collect::<Vec<_>>()));
+    let args = parse_or_exit("codec-sweep", SweepArgs::USAGE, SweepArgs::parse);
+    std::process::exit(run(&args));
 }
 
-fn run(args: &[String]) -> i32 {
-    let mut rates_path = PathBuf::from("BENCH_codecs.json");
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--rates" => {
-                if let Some(p) = args.get(i + 1) {
-                    rates_path = PathBuf::from(p);
-                }
-                i += 1;
-            }
-            "--format" => {
-                json = args.get(i + 1).map(String::as_str) == Some("json");
-                i += 1;
-            }
-            other => {
-                eprintln!("codec-sweep: ignoring unknown flag {other:?}");
-            }
-        }
-        i += 1;
-    }
-
-    let (rates, calibration) = match load_rates(&rates_path) {
+fn run(args: &SweepArgs) -> i32 {
+    let (rates, calibration) = match load_rates(&args.rates) {
         Ok(pair) => pair,
         Err(e) => {
             eprintln!("codec-sweep: {e}");
@@ -51,7 +31,7 @@ fn run(args: &[String]) -> i32 {
         }
     };
     let rows = sweep(&rates);
-    if json {
+    if args.format == OutputFormat::Json {
         print!("{}", render_json(&rows, &calibration));
     } else {
         print!("{}", render(&rows, &calibration));

@@ -9,9 +9,12 @@
 //!
 //! Exits 0 when every linted pipeline passes (warnings allowed unless
 //! `--deny-warnings`), 1 when any diagnostic fails the run, and 2 when the
-//! tool could not do its job — an unreadable file or nothing to lint.
+//! tool could not do its job — an unreadable file, nothing to lint, or an
+//! argument it does not take ([`spzip_bench::cli::LintArgs`]).
+
+use spzip_bench::cli::{parse_or_exit, LintArgs};
 
 fn main() {
-    let args = spzip_bench::cli::parse();
+    let args = parse_or_exit("dcl-lint", LintArgs::USAGE, LintArgs::parse);
     std::process::exit(spzip_bench::dcl_lint::run(&args));
 }

@@ -12,9 +12,12 @@
 //! `--deny-warnings`) and, under `--crosscheck`, when every cell of the
 //! gate matrix predicts within tolerance; 1 when any `P0xx` diagnostic
 //! fails the run or any cross-check misses; 2 when the tool could not do
-//! its job — an unreadable file or nothing to analyze.
+//! its job — an unreadable file, nothing to analyze, or an argument it
+//! does not take ([`spzip_bench::cli::PerfArgs`]).
+
+use spzip_bench::cli::{parse_or_exit, PerfArgs};
 
 fn main() {
-    let args = spzip_bench::cli::parse();
+    let args = parse_or_exit("dcl-perf", PerfArgs::USAGE, PerfArgs::parse);
     std::process::exit(spzip_bench::dcl_perf::run(&args));
 }

@@ -26,6 +26,7 @@
 //! [`RateTable`](spzip_compress::model::RateTable) of *relative* codec
 //! costs ([`BenchReport::rate_table`]) consumed by `dcl-perf --suggest`.
 
+use crate::trajectory::{document, json_num, records, Trajectory};
 use spzip_compress::reference::ReferenceCodec;
 use spzip_compress::stats::{geometric_mean, CodecPerfRecord, ThroughputStats};
 use spzip_compress::{
@@ -222,19 +223,11 @@ impl BenchReport {
     /// Renders the report as the `BENCH_codecs.json` document (one record
     /// per line, trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\":\"{SCHEMA}\",\"codec_version\":{},\"measure_ms\":{},\"records\":[",
+        let header = format!(
+            "\"codec_version\":{},\"measure_ms\":{}",
             self.codec_version, self.measure_ms
         );
-        for (i, rec) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(&rec.to_json());
-        }
-        out.push_str("\n]}\n");
-        out
+        document(SCHEMA, &header, self.records.iter().map(|r| r.to_json()))
     }
 
     /// Parses a `BENCH_codecs.json` document.
@@ -245,27 +238,13 @@ impl BenchReport {
     /// missing schema tag, malformed envelope fields, or an unparsable
     /// record.
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let schema = json_str(text, "schema")?;
-        if schema != SCHEMA {
-            return Err(format!("schema {schema:?} is not {SCHEMA:?}"));
-        }
-        let codec_version = json_num(text, "codec_version")? as u32;
-        let measure_ms = json_num(text, "measure_ms")? as u64;
-        let arr_start = text
-            .find("\"records\":[")
-            .ok_or("missing field \"records\"")?
-            + "\"records\":[".len();
-        let arr_end = text.rfind(']').ok_or("unterminated records array")?;
-        if arr_end < arr_start {
-            return Err("malformed records array".to_string());
-        }
-        let mut records = Vec::new();
-        for obj in split_objects(&text[arr_start..arr_end]) {
-            records.push(CodecPerfRecord::from_json(obj)?);
-        }
+        let records = records(text, SCHEMA)?
+            .into_iter()
+            .map(CodecPerfRecord::from_json)
+            .collect::<Result<_, _>>()?;
         Ok(BenchReport {
-            codec_version,
-            measure_ms,
+            codec_version: json_num(text, "codec_version")? as u32,
+            measure_ms: json_num(text, "measure_ms")? as u64,
             records,
         })
     }
@@ -445,52 +424,32 @@ pub fn check_against(
     }
 }
 
-/// Extracts a string field from the envelope (writer-subset JSON).
-/// Shared with `sanitize_bench`, whose trajectory file uses the same
-/// hand-rolled envelope style.
-pub(crate) fn json_str(text: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat).ok_or(format!("missing field {key:?}"))? + pat.len();
-    let rest = text[start..].trim_start();
-    let rest = rest
-        .strip_prefix('"')
-        .ok_or(format!("field {key:?} is not a string"))?;
-    let end = rest.find('"').ok_or(format!("unterminated {key:?}"))?;
-    Ok(rest[..end].to_string())
-}
-
-/// Extracts a numeric field from the envelope.
-pub(crate) fn json_num(text: &str, key: &str) -> Result<f64, String> {
-    let pat = format!("\"{key}\":");
-    let start = text.find(&pat).ok_or(format!("missing field {key:?}"))? + pat.len();
-    let rest = text[start..].trim_start();
-    let end = rest
-        .find([',', '}', '\n'])
-        .ok_or(format!("unterminated {key:?}"))?;
-    rest[..end]
-        .trim()
-        .parse::<f64>()
-        .map_err(|e| format!("field {key:?}: {e}"))
-}
-
-/// Splits a flat JSON array body into its top-level `{...}` objects
-/// (records contain no nested braces).
-pub(crate) fn split_objects(body: &str) -> Vec<&str> {
-    let mut objects = Vec::new();
-    let mut start = None;
-    for (i, c) in body.char_indices() {
-        match c {
-            '{' if start.is_none() => start = Some(i),
-            '}' => {
-                if let Some(s) = start.take() {
-                    objects.push(&body[s..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    objects
-}
+/// The `codec-bench` tool: 200 ms windows, `BENCH_codecs.json`, and one
+/// decode-speedup line per codec after a measurement is written.
+pub const TRAJECTORY: Trajectory<BenchReport> = Trajectory {
+    tool: "codec-bench",
+    out: "BENCH_codecs.json",
+    measure_ms: 200,
+    cells: REQUIRED_CODECS.len(),
+    measure: Ok(BenchReport::measure),
+    from_json: BenchReport::from_json,
+    to_json: BenchReport::to_json,
+    validate: BenchReport::validate,
+    check: check_against,
+    summary: |report| {
+        REQUIRED_CODECS
+            .iter()
+            .filter_map(|codec| {
+                let s = report.decode_speedup(codec)?;
+                Some(format!(
+                    "{codec}: decode speedup {s:.2}x over scalar reference"
+                ))
+            })
+            .collect()
+    },
+    records: |report| report.records.len(),
+    perturb: None,
+};
 
 #[cfg(test)]
 mod tests {

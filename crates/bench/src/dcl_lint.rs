@@ -47,7 +47,7 @@
 //! or a warning under `--deny-warnings`), 2 when the tool itself could
 //! not do its job (an unreadable file, or nothing to lint at all).
 
-use crate::cli::CommonArgs;
+use crate::cli::LintArgs;
 use crate::{corpus, equiv_corpus, liveness_corpus, shape_corpus};
 use spzip_core::lint::{self, Severity};
 use spzip_core::parser;
@@ -322,7 +322,7 @@ pub fn codec_bindings(report: &mut LintReport) {
 
 /// Runs the tool over parsed arguments; returns the process exit code
 /// (0 iff no errors).
-pub fn run(args: &CommonArgs) -> i32 {
+pub fn run(args: &LintArgs) -> i32 {
     if let Some(code) = &args.explain {
         return crate::explain::run(code);
     }
@@ -374,11 +374,7 @@ pub fn run(args: &CommonArgs) -> i32 {
         lint_builtins(args.dot, args.no_shape, args.no_liveness, &mut report);
     }
     if report.checked == 0 {
-        println!(
-            "usage: dcl-lint [--all-builtin] [--no-shape] [--no-liveness] [--shape-corpus] \
-             [--liveness-corpus] [--equiv] [--equiv-corpus] [--explain CODE] [--dot] \
-             [--deny-warnings] [--format text|json|sarif] [file.dcl ...]"
-        );
+        println!("{}", LintArgs::USAGE);
         return 2;
     }
     match args.format {
@@ -510,7 +506,7 @@ mod tests {
 
     #[test]
     fn unreadable_file_is_an_io_error_not_a_diagnostic() {
-        let args = crate::cli::parse_from(&["/nonexistent/definitely-missing.dcl".to_string()]);
+        let args = LintArgs::parse(&["/nonexistent/definitely-missing.dcl".to_string()]).unwrap();
         let mut report = LintReport::default();
         match std::fs::read_to_string(&args.paths[0]) {
             Ok(_) => panic!("path should not exist"),

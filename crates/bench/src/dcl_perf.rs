@@ -29,7 +29,7 @@
 //! `--deny-warnings`), 1 when any diagnostic — or any cross-check cell —
 //! fails the run, 2 when the tool could not do its job.
 
-use crate::cli::{CommonArgs, OutputFormat};
+use crate::cli::{OutputFormat, PerfArgs};
 use crate::dcl_lint::synthetic_symbols;
 use spzip_core::lint::{self, Code, Severity};
 use spzip_core::parser;
@@ -280,7 +280,7 @@ pub fn render_suggest_json(report: &SuggestToolReport) -> String {
 }
 
 /// Runs the codec-selection pass over files and/or builtins.
-pub fn run_suggest(args: &CommonArgs) -> i32 {
+pub fn run_suggest(args: &PerfArgs) -> i32 {
     let (table, calibration) = match load_rates(&args.rates) {
         Ok(ok) => ok,
         Err(e) => {
@@ -363,7 +363,7 @@ pub fn run_suggest(args: &CommonArgs) -> i32 {
 }
 
 /// Runs the tool over parsed arguments; returns the process exit code.
-pub fn run(args: &CommonArgs) -> i32 {
+pub fn run(args: &PerfArgs) -> i32 {
     if args.crosscheck {
         return crate::crosscheck::run_gate(args.perturb_ratio, args.format);
     }
@@ -391,11 +391,7 @@ pub fn run(args: &CommonArgs) -> i32 {
         perf_builtins(&mut report);
     }
     if report.checked == 0 {
-        println!(
-            "usage: dcl-perf [--all-builtin] [--deny-warnings] [--format text|json|sarif] \
-             [--crosscheck | --auto-gate [--perturb-ratio X]] \
-             [--suggest [--rates FILE]] [file.dcl ...]"
-        );
+        println!("{}", PerfArgs::USAGE);
         return 2;
     }
     match args.format {

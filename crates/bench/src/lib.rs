@@ -9,7 +9,8 @@
 //! * [`driver`] — unions cells across figures, deduplicates them by
 //!   fingerprint, executes the unique ones on a worker pool over shared
 //!   inputs, and memoizes serialized outcomes under `results/cache/`.
-//! * [`cli`] — the shared flag parser every binary uses.
+//! * [`cli`] — the strict flag parser every binary uses, one flag set
+//!   per tool.
 //!
 //! `bench_all` regenerates every output in one process, so overlapping
 //! cells (e.g. the Fig. 15/16/17 sweeps) are simulated exactly once;
@@ -27,7 +28,9 @@
 //! V-code vs. divergence under the functional engine), [`corpus`] is the
 //! harness those three share (row type, reports, exit code, quiet
 //! panics), and [`explain`] is the `--explain CODE` registry spanning
-//! every diagnostic family.
+//! every diagnostic family. [`trajectory`] is the one driver behind the
+//! `codec-bench` ([`codec_bench`]) and `sanitize-bench`
+//! ([`sanitize_bench`]) perf trajectories.
 
 pub mod cli;
 pub mod codec_bench;
@@ -43,6 +46,7 @@ pub mod liveness_corpus;
 pub mod sanitize_bench;
 pub mod shape_corpus;
 pub mod suggest_sweep;
+pub mod trajectory;
 
 use spzip_apps::{RunOutcome, Scheme};
 use spzip_mem::DataClass;

@@ -10,8 +10,8 @@
 //!   payload bytes, and the *peak residency* of the compressed
 //!   representation (payloads plus the bounded staging/scratch buffers),
 //!   which is what actually replaces the raw footprint in memory;
-//! * **memoization** — chunk counts, distinct chunk contents, memo hits,
-//!   and how many chunks the queue checker absorbed from summaries alone;
+//! * **chunking** — chunk counts, and how many chunks the queue checker
+//!   fast-forwarded from their summaries alone;
 //! * **analysis wall-clock** — mean `analyze_compressed` time per cell
 //!   (reported for trend-watching, never gated: CI runners are noisy).
 //!
@@ -27,12 +27,13 @@
 //!   raw footprint over peak compressed residency — must clear
 //!   [`RESIDENCY_RATIO_FLOOR`] in both the trajectory and the fresh run.
 
-use crate::codec_bench::{json_num, json_str, split_objects};
+use crate::trajectory::{document, json_num, json_str, records, Trajectory};
 use spzip_compress::CODEC_VERSION;
 use spzip_sim::ctrace::SANITIZE_TRACE_VERSION;
 
-/// Schema tag written into (and required of) `BENCH_sanitize.json`.
-pub const SCHEMA: &str = "spzip-sanitize-bench/v1";
+/// Schema tag written into (and required of) `BENCH_sanitize.json`. v2
+/// dropped v1's `distinct_chunks` and `memo_hits` with the chunk memo.
+pub const SCHEMA: &str = "spzip-sanitize-bench/v2";
 
 /// A fresh cell's compression ratio may drop to this fraction of the
 /// checked-in trajectory before `--check` fails.
@@ -81,10 +82,6 @@ pub struct SanitizeCell {
     pub residency_ratio: f64,
     /// Sealed chunks in the trace.
     pub chunks: u64,
-    /// Distinct chunk contents decoded.
-    pub distinct_chunks: u64,
-    /// Chunks recalled from the memo cache.
-    pub memo_hits: u64,
     /// Chunks the queue checker fast-forwarded from summaries.
     pub queue_fast_chunks: u64,
     /// Mean `analyze_compressed` wall-clock, milliseconds (not gated).
@@ -96,8 +93,8 @@ impl SanitizeCell {
         format!(
             "{{\"app\":\"{}\",\"scheme\":\"{}\",\"events\":{},\"raw_bytes\":{},\
              \"compressed_bytes\":{},\"peak_residency_bytes\":{},\"ratio\":{:.4},\
-             \"residency_ratio\":{:.4},\"chunks\":{},\"distinct_chunks\":{},\
-             \"memo_hits\":{},\"queue_fast_chunks\":{},\"analyze_ms\":{:.3}}}",
+             \"residency_ratio\":{:.4},\"chunks\":{},\"queue_fast_chunks\":{},\
+             \"analyze_ms\":{:.3}}}",
             self.app,
             self.scheme,
             self.events,
@@ -107,8 +104,6 @@ impl SanitizeCell {
             self.ratio,
             self.residency_ratio,
             self.chunks,
-            self.distinct_chunks,
-            self.memo_hits,
             self.queue_fast_chunks,
             self.analyze_ms,
         )
@@ -125,8 +120,6 @@ impl SanitizeCell {
             ratio: json_num(obj, "ratio")?,
             residency_ratio: json_num(obj, "residency_ratio")?,
             chunks: json_num(obj, "chunks")? as u64,
-            distinct_chunks: json_num(obj, "distinct_chunks")? as u64,
-            memo_hits: json_num(obj, "memo_hits")? as u64,
             queue_fast_chunks: json_num(obj, "queue_fast_chunks")? as u64,
             analyze_ms: json_num(obj, "analyze_ms")?,
         })
@@ -148,19 +141,15 @@ impl SanitizeBenchReport {
     /// Renders the report as the `BENCH_sanitize.json` document (one
     /// record per line, trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\":\"{SCHEMA}\",\"trace_version\":{},\"codec_version\":{},\"records\":[",
+        let header = format!(
+            "\"trace_version\":{},\"codec_version\":{}",
             self.trace_version, self.codec_version
         );
-        for (i, rec) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(&rec.to_json());
-        }
-        out.push_str("\n]}\n");
-        out
+        document(
+            SCHEMA,
+            &header,
+            self.records.iter().map(SanitizeCell::to_json),
+        )
     }
 
     /// Parses a `BENCH_sanitize.json` document.
@@ -169,27 +158,13 @@ impl SanitizeBenchReport {
     ///
     /// Returns a description of the first schema violation.
     pub fn from_json(text: &str) -> Result<SanitizeBenchReport, String> {
-        let schema = json_str(text, "schema")?;
-        if schema != SCHEMA {
-            return Err(format!("schema {schema:?} is not {SCHEMA:?}"));
-        }
-        let trace_version = json_num(text, "trace_version")? as u32;
-        let codec_version = json_num(text, "codec_version")? as u32;
-        let arr_start = text
-            .find("\"records\":[")
-            .ok_or("missing field \"records\"")?
-            + "\"records\":[".len();
-        let arr_end = text.rfind(']').ok_or("unterminated records array")?;
-        if arr_end < arr_start {
-            return Err("malformed records array".to_string());
-        }
-        let mut records = Vec::new();
-        for obj in split_objects(&text[arr_start..arr_end]) {
-            records.push(SanitizeCell::from_json(obj)?);
-        }
+        let records = records(text, SCHEMA)?
+            .into_iter()
+            .map(SanitizeCell::from_json)
+            .collect::<Result<_, _>>()?;
         Ok(SanitizeBenchReport {
-            trace_version,
-            codec_version,
+            trace_version: json_num(text, "trace_version")? as u32,
+            codec_version: json_num(text, "codec_version")? as u32,
             records,
         })
     }
@@ -298,8 +273,6 @@ pub fn measure(measure_ms: u64) -> SanitizeBenchReport {
             ratio: raw as f64 / compressed.max(1) as f64,
             residency_ratio: raw as f64 / residency.max(1) as f64,
             chunks: san.trace.chunks().len() as u64,
-            distinct_chunks: stats.distinct_chunks as u64,
-            memo_hits: stats.memo_hits as u64,
             queue_fast_chunks: stats.queue_fast_chunks as u64,
             analyze_ms,
         });
@@ -340,13 +313,12 @@ pub fn check_against(
         };
         summary.push(format!(
             "{app}/{scheme}: ratio {:.2}x (trajectory {:.2}x), residency {:.2}x, \
-             {} chunks ({} distinct, {} memo hits), analyze {:.2} ms",
+             {} chunks ({} fast-forwarded), analyze {:.2} ms",
             now.ratio,
             then.ratio,
             now.residency_ratio,
             now.chunks,
-            now.distinct_chunks,
-            now.memo_hits,
+            now.queue_fast_chunks,
             now.analyze_ms,
         ));
         if now.ratio < then.ratio * RATIO_REGRESSION_FLOOR {
@@ -378,6 +350,51 @@ pub fn check_against(
     }
 }
 
+/// The `sanitize-bench` tool: 20 ms analysis windows,
+/// `BENCH_sanitize.json`, one line per cell after a measurement is
+/// written, and a `--perturb-ratio` that scales the fresh footprint wins.
+/// Measuring needs the SimSanitizer compiled in (`--features sanitize`).
+pub const TRAJECTORY: Trajectory<SanitizeBenchReport> = Trajectory {
+    tool: "sanitize-bench",
+    out: "BENCH_sanitize.json",
+    measure_ms: 20,
+    cells: BUILTIN_CELLS.len(),
+    #[cfg(feature = "sanitize")]
+    measure: Ok(measure),
+    #[cfg(not(feature = "sanitize"))]
+    measure: Err(
+        "this binary was built without the SimSanitizer; rebuild with --features sanitize",
+    ),
+    from_json: SanitizeBenchReport::from_json,
+    to_json: SanitizeBenchReport::to_json,
+    validate: SanitizeBenchReport::validate,
+    check: check_against,
+    summary: |report| {
+        report
+            .records
+            .iter()
+            .map(|cell| {
+                format!(
+                    "{}/{}: {} events, ratio {:.2}x, residency {:.2}x, analyze {:.2} ms",
+                    cell.app,
+                    cell.scheme,
+                    cell.events,
+                    cell.ratio,
+                    cell.residency_ratio,
+                    cell.analyze_ms
+                )
+            })
+            .collect()
+    },
+    records: |report| report.records.len(),
+    perturb: Some(|report, ratio| {
+        for cell in &mut report.records {
+            cell.ratio *= ratio;
+            cell.residency_ratio *= ratio;
+        }
+    }),
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,8 +415,6 @@ mod tests {
                     ratio,
                     residency_ratio,
                     chunks: 10,
-                    distinct_chunks: 4,
-                    memo_hits: 6,
                     queue_fast_chunks: 9,
                     analyze_ms: 1.5,
                 }

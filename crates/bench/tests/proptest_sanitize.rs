@@ -1,9 +1,9 @@
 //! Property-based differential test for the compressed-trace sanitizer:
 //! for random scheme x graph x core-count layouts, the chunked analysis
 //! over the codec-compressed trace must agree verdict-for-verdict with
-//! the legacy flat-trace oracle, and chunk-summary memoization must be
-//! deterministic — the same trace always yields the same chunk hashes,
-//! the same memo statistics, and the same report.
+//! the legacy flat-trace oracle, and the analysis must be deterministic —
+//! the same trace always yields the same chunk hashes, the same
+//! statistics, and the same report.
 //!
 //! Compiled only with the `sanitize` feature:
 //! `cargo test -p spzip-bench --features sanitize --test proptest_sanitize`.
@@ -70,8 +70,8 @@ proptest! {
         prop_assert_eq!(stats.events, san.trace.len());
         prop_assert_eq!(stats.integrity_violations, 0);
 
-        // Memoization determinism: same trace → same chunk hashes → same
-        // stats and report on a second pass.
+        // Determinism: same trace → same chunk hashes → same stats and
+        // report on a second pass.
         let hashes: Vec<u64> = san.trace.chunks().iter().map(|c| c.hash).collect();
         let rerun = san.trace.clone();
         let rerun_hashes: Vec<u64> = rerun.chunks().iter().map(|c| c.hash).collect();

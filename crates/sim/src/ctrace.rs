@@ -20,14 +20,14 @@
 //!   the frames concatenated in a fixed order, stamped with a sequence
 //!   number and an FNV-1a content hash.
 //!
-//! The content hash is the memoization key of the chunk-level analysis in
-//! [`crate::sanitize::analyze_compressed`]: identical chunks (tight inner
-//! loops replay the same push/pop/access patterns) are decoded and
-//! summarized once, in the spirit of analyzing compressed traces by
-//! processing repeated blocks once (Ang & Mathur's compressed-trace race
-//! detection). The sequence numbers make reordered or duplicated chunks —
-//! however they arise — detectable as `S010` trace-integrity violations
-//! instead of silently corrupted verdicts.
+//! The content hash fingerprints a chunk's encoding: equal event blocks
+//! encode to equal bytes, so re-encoding a decoded trace must reproduce
+//! every hash. (It no longer keys a decode memo in
+//! [`crate::sanitize::analyze_compressed`]: cycle stamps make every real
+//! chunk distinct, so that memo never hit.) The sequence numbers make
+//! reordered or duplicated chunks — however they arise — detectable as
+//! `S010` trace-integrity violations instead of silently corrupted
+//! verdicts.
 //!
 //! Decoding is strict: column lengths must match the tag column, tags and
 //! packed metadata must be in range, and every byte of the payload must
@@ -72,9 +72,9 @@ pub struct Chunk {
     pub events: u32,
     /// Concatenated self-delimiting column frames (see module docs).
     pub bytes: Vec<u8>,
-    /// FNV-1a hash of `bytes`: the content-only memoization key for
-    /// chunk-level analysis. Equal event sequences encode to equal bytes
-    /// (every column codec is deterministic), so equal hashes.
+    /// FNV-1a hash of `bytes`, a content-only fingerprint. Equal event
+    /// sequences encode to equal bytes (every column codec is
+    /// deterministic), so equal hashes.
     pub hash: u64,
 }
 
@@ -719,8 +719,7 @@ mod tests {
     #[test]
     fn repeated_identical_blocks_produce_equal_hashes() {
         // A tight loop: the same 1024-event block recorded three times
-        // yields three chunks with one distinct hash — the memoization
-        // surface of the chunk-level analysis.
+        // yields three chunks with one distinct hash.
         let block = sample_events(CHUNK_EVENTS);
         let mut t = CTrace::new(4);
         for _ in 0..3 {

@@ -31,9 +31,8 @@
 //!   kept as the differential oracle;
 //! * [`analyze_compressed`] drives the same folds ([`RaceFold`],
 //!   [`QueueFold`]) chunk-by-chunk over a codec-compressed
-//!   [`crate::ctrace::CTrace`], memoizing decode and
-//!   summarization by chunk content hash and adding `S010`
-//!   trace-integrity checks. Both paths emit identical violations on any
+//!   [`crate::ctrace::CTrace`], fast-forwarding the queue checker over
+//!   chunks it can summarize and adding `S010` trace-integrity checks. Both paths emit identical violations on any
 //!   intact trace.
 //!
 //! Everything here is ordinary always-compiled code. The `sanitize`
@@ -361,8 +360,6 @@ impl RunContext {
 
 /// A pluggable post-run checker.
 pub trait Sanitizer {
-    /// Short name, for reporting which checker fired.
-    fn name(&self) -> &'static str;
     /// Analyzes one run.
     fn check(&mut self, trace: &Trace, ctx: &RunContext) -> Vec<Violation>;
 }
@@ -443,10 +440,6 @@ impl Default for RaceDetector {
 }
 
 impl Sanitizer for RaceDetector {
-    fn name(&self) -> &'static str {
-        "race"
-    }
-
     fn check(&mut self, trace: &Trace, _ctx: &RunContext) -> Vec<Violation> {
         let mut fold = RaceFold::new(trace.cores, self.max_reports);
         for ev in &trace.events {
@@ -619,10 +612,6 @@ impl RaceFold {
 pub struct QueueProtocol;
 
 impl Sanitizer for QueueProtocol {
-    fn name(&self) -> &'static str {
-        "queue-protocol"
-    }
-
     fn check(&mut self, trace: &Trace, _ctx: &RunContext) -> Vec<Violation> {
         let mut fold = QueueFold::new();
         for ev in &trace.events {
@@ -726,10 +715,6 @@ impl QueueFold {
 pub struct WindowCheck;
 
 impl Sanitizer for WindowCheck {
-    fn name(&self) -> &'static str {
-        "window"
-    }
-
     fn check(&mut self, _trace: &Trace, ctx: &RunContext) -> Vec<Violation> {
         let mut out = Vec::new();
         for (core, &n) in ctx.outstanding.iter().enumerate() {
@@ -756,10 +741,6 @@ impl Sanitizer for WindowCheck {
 pub struct Accounting;
 
 impl Sanitizer for Accounting {
-    fn name(&self) -> &'static str {
-        "accounting"
-    }
-
     fn check(&mut self, _trace: &Trace, ctx: &RunContext) -> Vec<Violation> {
         let mut out = Vec::new();
         let read_bytes: u64 = DataClass::all()
@@ -800,12 +781,9 @@ impl Sanitizer for Accounting {
 
 /// Content-derived summary of one trace chunk: what the chunk-level
 /// checkers need to decide whether they can apply a chunk's *effect*
-/// without replaying its events. Depends only on the chunk payload, so it
-/// is memoized by content hash alongside the decoded events.
+/// without replaying its events.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkSummary {
-    /// Content hash of the chunk this summarizes.
-    pub hash: u64,
     /// Events in the chunk.
     pub events: u32,
     /// Per-queue occupancy effect, sorted by `(engine, queue)`.
@@ -824,7 +802,7 @@ pub struct QueueDelta {
 }
 
 /// Summarizes a decoded event block (content only — no entry state).
-pub fn summarize_events(hash: u64, events: &[TraceEvent]) -> ChunkSummary {
+pub fn summarize_events(events: &[TraceEvent]) -> ChunkSummary {
     let mut queues: HashMap<(Actor, QueueId), (u64, i64)> = HashMap::new();
     for ev in events {
         match *ev {
@@ -857,18 +835,16 @@ pub fn summarize_events(hash: u64, events: &[TraceEvent]) -> ChunkSummary {
         .collect();
     queues.sort_by_key(|&(e, q, _)| (e, q));
     ChunkSummary {
-        hash,
         events: events.len() as u32,
         queues,
     }
 }
 
-/// One decoded (or memo-recalled) chunk handed to the chunk-level
-/// checkers, in stream order.
+/// One decoded chunk handed to the chunk-level checkers, in stream order.
 pub struct DecodedChunk<'a> {
     /// Position in the trace stream.
     pub seq: u64,
-    /// Content summary (shared across identical chunks).
+    /// Content summary.
     pub summary: &'a ChunkSummary,
     /// The decoded events.
     pub events: &'a [TraceEvent],
@@ -881,8 +857,6 @@ pub struct DecodedChunk<'a> {
 /// the checker found. Checkers that can apply a summarized chunk without
 /// walking its events report how often via [`ChunkSanitizer::fast_chunks`].
 pub trait ChunkSanitizer {
-    /// Short name, for reporting which checker fired.
-    fn name(&self) -> &'static str;
     /// Observes one chunk of the trace, in stream order.
     fn feed_chunk(&mut self, chunk: &DecodedChunk<'_>);
     /// Finalizes against the post-run context.
@@ -896,8 +870,7 @@ pub trait ChunkSanitizer {
 
 /// Chunk-driven race detection: every chunk's events replay through the
 /// shared [`RaceFold`]. Vector-clock state is entry-dependent, so chunks
-/// cannot be skipped — the memoization win is upstream, where identical
-/// chunks decode and summarize once.
+/// cannot be skipped.
 pub struct RaceChunks {
     fold: RaceFold,
 }
@@ -912,10 +885,6 @@ impl RaceChunks {
 }
 
 impl ChunkSanitizer for RaceChunks {
-    fn name(&self) -> &'static str {
-        "race"
-    }
-
     fn feed_chunk(&mut self, chunk: &DecodedChunk<'_>) {
         for ev in chunk.events {
             self.fold.step(ev);
@@ -948,10 +917,6 @@ impl QueueChunks {
 }
 
 impl ChunkSanitizer for QueueChunks {
-    fn name(&self) -> &'static str {
-        "queue-protocol"
-    }
-
     fn feed_chunk(&mut self, chunk: &DecodedChunk<'_>) {
         let s = chunk.summary;
         let safe = s
@@ -984,10 +949,6 @@ impl ChunkSanitizer for QueueChunks {
 pub struct WindowChunks;
 
 impl ChunkSanitizer for WindowChunks {
-    fn name(&self) -> &'static str {
-        "window"
-    }
-
     fn feed_chunk(&mut self, _chunk: &DecodedChunk<'_>) {}
 
     fn finish(&mut self, ctx: &RunContext) -> Vec<Violation> {
@@ -1000,10 +961,6 @@ impl ChunkSanitizer for WindowChunks {
 pub struct AccountingChunks;
 
 impl ChunkSanitizer for AccountingChunks {
-    fn name(&self) -> &'static str {
-        "accounting"
-    }
-
     fn feed_chunk(&mut self, _chunk: &DecodedChunk<'_>) {}
 
     fn finish(&mut self, ctx: &RunContext) -> Vec<Violation> {
@@ -1022,12 +979,6 @@ pub fn default_chunk_checkers(cores: usize) -> Vec<Box<dyn ChunkSanitizer>> {
     ]
 }
 
-/// Cap on decoded events held in the chunk memo cache. Steady-state
-/// traces dominated by repeated chunks stay fully memoized; adversarial
-/// all-distinct traces stop caching here instead of re-materializing the
-/// raw trace.
-const MEMO_EVENT_BUDGET: usize = 64 * 1024;
-
 /// What the compressed analysis did, beyond its verdicts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalyzeStats {
@@ -1036,10 +987,6 @@ pub struct AnalyzeStats {
     pub chunks: usize,
     /// Total events analyzed.
     pub events: usize,
-    /// Distinct chunk contents decoded (memo misses).
-    pub distinct_chunks: usize,
-    /// Chunks recalled from the memo cache instead of decoded.
-    pub memo_hits: usize,
     /// Chunks the queue checker absorbed from their summary alone.
     pub queue_fast_chunks: usize,
     /// S010 violations emitted.
@@ -1058,32 +1005,21 @@ pub fn analyze_compressed(trace: &CTrace, ctx: &RunContext) -> Vec<Violation> {
     analyze_compressed_stats(trace, ctx).0
 }
 
-/// [`analyze_compressed`] plus chunk/memoization statistics.
+/// [`analyze_compressed`] plus chunk statistics.
 pub fn analyze_compressed_stats(
     trace: &CTrace,
     ctx: &RunContext,
 ) -> (Vec<Violation>, AnalyzeStats) {
-    struct Memo {
-        bytes_len: usize,
-        events: Vec<TraceEvent>,
-        summary: ChunkSummary,
-    }
-    let mut memo: HashMap<u64, Memo> = HashMap::new();
-    let mut memo_events = 0usize;
     let mut stats = AnalyzeStats::default();
     let mut integrity = Vec::new();
     let mut checkers = default_chunk_checkers(trace.cores);
 
-    let feed = |checkers: &mut Vec<Box<dyn ChunkSanitizer>>,
-                stats: &mut AnalyzeStats,
-                seq: u64,
-                summary: &ChunkSummary,
-                events: &[TraceEvent]| {
+    let mut feed = |seq: u64, events: &[TraceEvent]| {
         stats.chunks += 1;
         stats.events += events.len();
         let chunk = DecodedChunk {
             seq,
-            summary,
+            summary: &summarize_events(events),
             events,
         };
         for c in checkers.iter_mut() {
@@ -1104,31 +1040,9 @@ pub fn analyze_compressed_stats(
                 format!("compressed trace chunk {i}"),
             ));
         }
-        if let Some(m) = memo.get(&chunk.hash) {
-            if m.bytes_len == chunk.bytes.len() && m.summary.events == chunk.events {
-                stats.memo_hits += 1;
-                feed(&mut checkers, &mut stats, chunk.seq, &m.summary, &m.events);
-                continue;
-            }
-        }
         scratch.clear();
         match crate::ctrace::decode_chunk(chunk, &mut scratch) {
-            Ok(()) => {
-                stats.distinct_chunks += 1;
-                let summary = summarize_events(chunk.hash, &scratch);
-                feed(&mut checkers, &mut stats, chunk.seq, &summary, &scratch);
-                if memo_events + scratch.len() <= MEMO_EVENT_BUDGET {
-                    memo_events += scratch.len();
-                    memo.insert(
-                        chunk.hash,
-                        Memo {
-                            bytes_len: chunk.bytes.len(),
-                            events: scratch.clone(),
-                            summary,
-                        },
-                    );
-                }
-            }
+            Ok(()) => feed(chunk.seq, &scratch),
             Err(e) => {
                 integrity.push(Violation::new(
                     Code::TraceIntegrity,
@@ -1139,15 +1053,7 @@ pub fn analyze_compressed_stats(
         }
     }
     if !trace.pending().is_empty() {
-        let tail = trace.pending();
-        let summary = summarize_events(0, tail);
-        feed(
-            &mut checkers,
-            &mut stats,
-            trace.chunks().len() as u64,
-            &summary,
-            tail,
-        );
+        feed(trace.chunks().len() as u64, trace.pending());
     }
 
     stats.integrity_violations = integrity.len();
@@ -1502,9 +1408,9 @@ mod tests {
     }
 
     #[test]
-    fn repeated_chunks_are_memoized_and_queue_fast_forwarded() {
-        // Identical balanced chunks: one decode, the rest memo hits, and
-        // the queue checker should fast-forward all of them.
+    fn repeated_chunks_are_queue_fast_forwarded() {
+        // Balanced chunks never dip below their entry occupancy, so the
+        // queue checker should fast-forward all of them.
         let mut t = Trace::new(1);
         for i in 0..4 * crate::ctrace::CHUNK_EVENTS as u64 {
             let ev = if i % 2 == 0 {
@@ -1530,8 +1436,6 @@ mod tests {
         assert_eq!(ct.chunks().len(), 4);
         let (v, stats) = analyze_compressed_stats(&ct, &RunContext::empty(1));
         assert!(v.is_empty(), "{}", render(&v));
-        assert_eq!(stats.distinct_chunks, 1);
-        assert_eq!(stats.memo_hits, 3);
         assert_eq!(stats.queue_fast_chunks, 4);
         assert_verdicts_match(&t);
     }

@@ -67,7 +67,7 @@ fn compressed_verdicts_match_oracle_on_every_cell() {
             let verdicts = assert_identical_verdicts(&san.trace, &san.context, &what);
             assert!(verdicts.is_empty(), "{what}:\n{}", render(&verdicts));
 
-            // Chunk memoization is deterministic: re-analyzing yields the
+            // Chunk analysis is deterministic: re-analyzing yields the
             // same statistics, and re-encoding the decoded events yields
             // the same chunk hashes.
             let (_, s1) = analyze_compressed_stats(&san.trace, &san.context);
