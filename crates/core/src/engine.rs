@@ -121,6 +121,14 @@ pub struct EngineModel {
     inputs: Vec<QueueId>,
     traces: Vec<VecDeque<Firing>>,
     pending: Vec<Pending>,
+    /// Earliest `complete_at` in `pending` (`u64::MAX` when empty).
+    next_complete: u64,
+    /// Access-unit slots held by `pending` entries.
+    au_busy: usize,
+    /// A fire attempt failed and none of its inputs (trace fronts, queue
+    /// occupancy and reservations, `au_busy`) has changed since, so the
+    /// next attempt would fail too.
+    blocked: bool,
     rr_next: usize,
     ready_at: u64,
     /// Total firings executed (utilization statistics).
@@ -145,6 +153,9 @@ impl EngineModel {
             inputs: Vec::new(),
             traces: Vec::new(),
             pending: Vec::new(),
+            next_complete: u64::MAX,
+            au_busy: 0,
+            blocked: false,
             rr_next: 0,
             ready_at: 0,
             fired: 0,
@@ -212,6 +223,9 @@ impl EngineModel {
             .map(|_| VecDeque::new())
             .collect();
         self.pending.clear();
+        self.next_complete = u64::MAX;
+        self.au_busy = 0;
+        self.blocked = false;
         self.rr_next = 0;
         self.ready_at = now + self.cfg.config_cycles;
     }
@@ -231,6 +245,7 @@ impl EngineModel {
         for (t, f) in self.traces.iter_mut().zip(firings) {
             t.extend(f);
         }
+        self.blocked = false;
     }
 
     /// Whether the core can enqueue `quarters` into queue `q` now.
@@ -243,6 +258,7 @@ impl EngineModel {
     pub fn enqueue(&mut self, q: QueueId, quarters: u16) {
         debug_assert!(self.can_enqueue(q, quarters));
         self.queues[q as usize].occupancy_q += quarters as u32;
+        self.blocked = false;
     }
 
     /// Whether the core can dequeue `quarters` from queue `q` now.
@@ -254,6 +270,7 @@ impl EngineModel {
     pub fn dequeue(&mut self, q: QueueId, quarters: u16) {
         debug_assert!(self.can_dequeue(q, quarters));
         self.queues[q as usize].occupancy_q -= quarters as u32;
+        self.blocked = false;
     }
 
     /// Whether all traces are drained and no work is in flight.
@@ -263,35 +280,52 @@ impl EngineModel {
 
     /// Advances the engine through `[now, now + budget)` cycles, firing at
     /// most one operator per cycle. Returns the number of firings.
+    ///
+    /// A failed attempt changes no state, and nothing it depends on moves
+    /// until a pending entry completes or the core, a new trace or a new
+    /// program changes the queues. So after a failure the engine sleeps
+    /// to the next completion (or the end of the window), counting every
+    /// skipped cycle as stalled, exactly as retrying each cycle would.
     pub fn tick(&mut self, now: u64, budget: u64, mem: &mut MemorySystem) -> u64 {
         if self.traces.is_empty() {
             return 0;
         }
+        let end = now + budget;
         let mut fired_now = 0u64;
-        for dt in 0..budget {
-            let t = now + dt;
-            if t < self.ready_at {
-                continue;
-            }
+        let mut t = now.max(self.ready_at);
+        while t < end {
             self.commit_pending(t);
-            if self.fire_one(t, mem) {
+            if !self.blocked && self.fire_one(t, mem) {
                 fired_now += 1;
+                t += 1;
             } else {
-                self.stalled_ticks += 1;
+                self.blocked = true;
+                let wake = self.next_complete.min(end);
+                self.stalled_ticks += wake - t;
+                t = wake;
             }
         }
         // Commit anything that completes exactly at the end of the window
         // so core-side checks at `now + budget` see it.
-        self.commit_pending(now + budget);
+        self.commit_pending(end);
         self.fired += fired_now;
         fired_now
     }
 
+    /// Makes every pending firing with `complete_at <= t` visible. Entries
+    /// leave `pending` in the same `swap_remove` order as a full scan on
+    /// every cycle would produce, which keeps the sanitizer's queue log
+    /// byte-identical.
     fn commit_pending(&mut self, t: u64) {
+        if t < self.next_complete {
+            return;
+        }
+        let mut next_complete = u64::MAX;
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].complete_at <= t {
                 let p = self.pending.swap_remove(i);
+                self.au_busy -= p.uses_au as usize;
                 for &q in &self.outputs[p.op] {
                     let qs = &mut self.queues[q as usize];
                     qs.reserved_q -= p.produced_q as u32;
@@ -307,13 +341,33 @@ impl EngineModel {
                     }
                 }
             } else {
+                next_complete = next_complete.min(self.pending[i].complete_at);
                 i += 1;
             }
         }
+        self.next_complete = next_complete;
+        self.blocked = false;
     }
 
-    fn au_in_use(&self) -> usize {
-        self.pending.iter().filter(|p| p.uses_au).count()
+    /// The readiness predicate shared by the scheduler and the stall
+    /// diagnosis: what stops operator `op` from firing `f` now, checked in
+    /// order (input data, output space including in-flight reservations,
+    /// an access-unit slot), or `None` when it is ready.
+    fn blocker(&self, op: usize, f: &Firing) -> Option<Stall> {
+        if self.queues[self.inputs[op] as usize].occupancy_q < f.consumed_q as u32 {
+            return Some(Stall::InputEmpty);
+        }
+        let fits = self.outputs[op].iter().all(|&q| {
+            let qs = &self.queues[q as usize];
+            qs.occupancy_q + qs.reserved_q + f.produced_q as u32 <= qs.capacity_q
+        });
+        if !fits {
+            return Some(Stall::OutputFull);
+        }
+        if f.mem.is_some() && self.au_busy >= self.cfg.au_outstanding {
+            return Some(Stall::AuBusy);
+        }
+        None
     }
 
     /// Attempts to fire one ready operator (round-robin). Returns whether
@@ -325,24 +379,10 @@ impl EngineModel {
             let Some(f) = self.traces[op].front().copied() else {
                 continue;
             };
-            // Input available?
-            if self.queues[self.inputs[op] as usize].occupancy_q < f.consumed_q as u32 {
+            if self.blocker(op, &f).is_some() {
                 continue;
             }
-            // Output space (including in-flight reservations)?
-            let fits = self.outputs[op].iter().all(|&q| {
-                let qs = &self.queues[q as usize];
-                qs.occupancy_q + qs.reserved_q + f.produced_q as u32 <= qs.capacity_q
-            });
-            if !fits {
-                continue;
-            }
-            // Functional unit available?
             let uses_au = f.mem.is_some();
-            if uses_au && self.au_in_use() >= self.cfg.au_outstanding {
-                continue;
-            }
-            // Fire.
             self.traces[op].pop_front();
             self.queues[self.inputs[op] as usize].occupancy_q -= f.consumed_q as u32;
             #[cfg(feature = "sanitize")]
@@ -373,6 +413,8 @@ impl EngineModel {
                 produced_q: f.produced_q,
                 uses_au,
             });
+            self.next_complete = self.next_complete.min(complete_at);
+            self.au_busy += uses_au as usize;
             self.rr_next = (op + 1) % n_ops;
             return true;
         }
@@ -395,19 +437,10 @@ impl EngineModel {
             let Some(f) = self.traces[op].front() else {
                 continue;
             };
-            if self.queues[self.inputs[op] as usize].occupancy_q < f.consumed_q as u32 {
-                continue;
-            }
-            let fits = self.outputs[op].iter().all(|&q| {
-                let qs = &self.queues[q as usize];
-                qs.occupancy_q + qs.reserved_q + f.produced_q as u32 <= qs.capacity_q
-            });
-            if !fits {
-                saw_output_full = true;
-                continue;
-            }
-            if f.mem.is_some() && self.au_in_use() >= self.cfg.au_outstanding {
-                saw_au = true;
+            match self.blocker(op, f) {
+                Some(Stall::OutputFull) => saw_output_full = true,
+                Some(Stall::AuBusy) => saw_au = true,
+                _ => {}
             }
         }
         if saw_au {
@@ -628,6 +661,61 @@ mod tests {
         assert_eq!(model.fired, 0, "nothing fires during configuration");
         model.tick(64, 32, &mut mem);
         assert!(model.fired > 0);
+    }
+
+    /// Counters and queues at every 64-cycle sync point, for tick budgets
+    /// of 1, 8 and 64: sleeping through failed attempts must account for
+    /// each skipped cycle exactly as retrying on every cycle would. The
+    /// reference clears `blocked` before each 1-cycle tick, so it attempts
+    /// a firing on every cycle.
+    #[test]
+    fn cycle_accounting_is_independent_of_tick_budget() {
+        const SYNC: u64 = 64;
+        const SYNCS: u64 = 300;
+        let (p, _img, firings, enq, _) = fig2_setup();
+        for drain in [false, true] {
+            let run = |budget: u64, poll: bool| {
+                let mut mem = MemorySystem::new(MemConfig::paper_scaled());
+                let mut model = EngineModel::new(EngineConfig::fetcher(), 0);
+                model.load_program(&p, 0);
+                model.append_trace(firings.clone());
+                model.enqueue(0, enq);
+                let ready_at = model.ready_at;
+                let mut snapshots = Vec::new();
+                let mut now = 0;
+                while now < SYNC * SYNCS {
+                    if poll {
+                        model.blocked = false;
+                    }
+                    model.tick(now, budget, &mut mem);
+                    now += budget;
+                    if now % SYNC != 0 {
+                        continue;
+                    }
+                    // Every cycle from `ready_at` on either fired or stalled.
+                    assert_eq!(
+                        model.fired + model.stalled_ticks,
+                        now.saturating_sub(ready_at),
+                        "budget {budget}, drain {drain}, cycle {now}"
+                    );
+                    // The core acts only at sync points, so all budgets see
+                    // the same queue operations at the same cycles.
+                    while drain && model.can_dequeue(2, 4) {
+                        model.dequeue(2, 4);
+                    }
+                    let occupancy: Vec<u32> = (0..model.queue_count())
+                        .map(|q| model.occupancy(q as QueueId))
+                        .collect();
+                    snapshots.push((model.fired, model.stalled_ticks, occupancy));
+                }
+                assert_eq!(model.idle(), drain, "budget {budget}, drain {drain}");
+                snapshots
+            };
+            let polled = run(1, true);
+            for budget in [1, 8, 64] {
+                assert_eq!(polled, run(budget, false), "drain {drain}, budget {budget}");
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,40 @@ fn identical_runs_produce_identical_reports() {
     }
 }
 
+/// Report fields pinned for CC on the 4-core graph above: `(scheme,
+/// cycles, traffic bytes, fetcher firings, compressor firings, core stall
+/// cycles, retired events)`. Comparing two runs of one build cannot catch
+/// timing-model drift; these constants can. A change that is not meant to
+/// alter results must leave every value as it is; one that is meant to
+/// re-records them.
+#[rustfmt::skip]
+const PINNED_CC: [(Scheme, u64, u64, u64, u64, u64, u64); 4] = [
+    (Scheme::Push, 119_696, 131_968, 0, 0, 270_733, 58_980),
+    (Scheme::PushSpzip, 80_024, 49_984, 28_309, 0, 224_059, 56_938),
+    (Scheme::UbSpzip, 52_680, 72_384, 18_089, 24_082, 5_311, 120_329),
+    (Scheme::PhiSpzip, 27_984, 37_248, 14_814, 4_569, 4_518, 58_415),
+];
+
+#[test]
+fn reports_match_pinned_values() {
+    let g = std::sync::Arc::new(community(&CommunityParams::web_crawl(1 << 10, 8), 77));
+    for (scheme, cycles, bytes, fetcher, compressor, stall, retired) in PINNED_CC {
+        let r = run_app(AppName::Cc, &g, &scheme.config(), machine()).report;
+        assert_eq!(
+            (
+                r.cycles,
+                r.traffic.total_bytes(),
+                r.fetcher_fired,
+                r.compressor_fired,
+                r.core_stall_cycles,
+                r.retired_events
+            ),
+            (cycles, bytes, fetcher, compressor, stall, retired),
+            "{scheme}: (cycles, traffic, fetcher, compressor, core stall, retired)"
+        );
+    }
+}
+
 #[test]
 fn graph_generation_is_seed_stable() {
     // A golden fingerprint: if generator behaviour drifts, benchmark
