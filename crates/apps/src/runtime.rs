@@ -30,9 +30,10 @@ use crate::layout::{Workload, CHUNK_VERTICES};
 use crate::pipelines::{self, TraversalOpts};
 use crate::scheme::{SchemeConfig, Strategy};
 use spzip_compress::CodecCtx;
+use spzip_core::dcl::Pipeline;
 use spzip_core::func::FuncEngine;
 use spzip_core::memory::MemoryImage;
-use spzip_core::QueueItem;
+use spzip_core::{QueueId, QueueItem};
 use spzip_graph::VertexId;
 use spzip_mem::phi::{PhiPush, PhiUnit};
 use spzip_mem::DataClass;
@@ -207,7 +208,7 @@ pub fn run_algorithm(
                         };
                     }
                 }
-                run_accumulation(machine, w, alg, cfg, &cost, cores, &binned, &activations);
+                run_accumulation(machine, w, cfg, &cost, cores, &binned);
             }
         }
 
@@ -224,7 +225,7 @@ pub fn run_algorithm(
 
         let end = alg.end_iteration(w, iteration);
         if end == EndIter::ContinueWithVertexPhase {
-            run_vertex_phase(machine, w, cfg, &cost, cores);
+            run_vertex_phase(machine, w, cfg, &cost);
         }
         if end == EndIter::Done {
             break;
@@ -268,8 +269,7 @@ fn compress_frontier_host(
     let mut cursors = vec![0u64; cores];
     let mut values: Vec<u64> = Vec::new();
     let mut bytes: Vec<u8> = Vec::new();
-    for (ci, chunk_ids) in ids.chunks(CHUNK_VERTICES as usize).enumerate() {
-        let _ = ci;
+    for chunk_ids in ids.chunks(CHUNK_VERTICES as usize) {
         values.clear();
         values.extend(chunk_ids.iter().map(|&v| v as u64));
         bytes.clear();
@@ -562,15 +562,7 @@ impl TraversalSource<'_> {
     }
 
     /// Emits the per-edge action (apply / bin / PHI-push) for `dst`.
-    #[allow(clippy::too_many_arguments)]
-    fn edge_action(
-        &mut self,
-        core: usize,
-        ev: &mut Vec<Event>,
-        src: VertexId,
-        dst: VertexId,
-        payload: u32,
-    ) {
+    fn edge_action(&mut self, core: usize, ev: &mut Vec<Event>, dst: VertexId, payload: u32) {
         let w_dst_addr = self.w.dst_addr + dst as u64 * 4;
         match self.mode {
             TravMode::PushApply => {
@@ -589,30 +581,18 @@ impl TraversalSource<'_> {
                 }
             }
             TravMode::UbBin => {
-                let bins = self.w.bins.as_ref().unwrap();
-                let bin = bins.bin_of(dst);
-                let update = ((dst as u64) << 32) | payload as u64;
-                if self.cfg.spzip {
-                    let q = self.bin_pipes[core].bin_q;
-                    let eng = self.comp_engines[core].as_mut().unwrap();
-                    eng.enqueue_value(q, bin as u64, 4);
-                    eng.enqueue_value(q, update, 8);
-                    ev.push(Event::Compute(self.cost.spzip_per_edge));
-                    ev.push(Event::CompressorEnqueue { q, quarters: 4 });
-                    ev.push(Event::CompressorEnqueue { q, quarters: 8 });
+                let bin = self.w.bins.as_ref().unwrap().bin_of(dst);
+                ev.push(Event::Compute(if self.cfg.spzip {
+                    self.cost.spzip_per_edge
                 } else {
-                    let addr = bins.bin_addr(core, bin) + self.bin_cursors[core][bin as usize];
-                    ev.push(Event::Compute(self.cost.bin_update));
-                    ev.push(Event::stream_store(addr, 8, DataClass::Updates));
-                    self.bin_cursors[core][bin as usize] += 8;
-                }
-                self.record_binned(core, bin, update);
+                    self.cost.bin_update
+                }));
+                self.bin_update(core, ev, bin, ((dst as u64) << 32) | payload as u64);
                 let activated = self.alg.apply(self.w, dst, payload);
                 if activated && !self.all_active && !self.in_next[dst as usize] {
                     self.in_next[dst as usize] = true;
                     self.activations.push(dst);
                 }
-                let _ = src;
             }
             TravMode::PhiBin => {
                 ev.push(Event::Compute(self.cost.phi_push));
@@ -656,25 +636,29 @@ impl TraversalSource<'_> {
             let dst = base_dst as u32 + slot as u32;
             let bins = self.w.bins.as_ref().unwrap();
             let bin = bins.bin_of(dst.min(self.w.n() as u32 - 1));
-            let update = ((dst as u64) << 32) | *p as u64;
-            if self.cfg.spzip {
-                let q = self.bin_pipes[core].bin_q;
-                let eng = self.comp_engines[core].as_mut().unwrap();
-                eng.enqueue_value(q, bin as u64, 4);
-                eng.enqueue_value(q, update, 8);
-                ev.push(Event::CompressorEnqueue { q, quarters: 4 });
-                ev.push(Event::CompressorEnqueue { q, quarters: 8 });
-            } else {
-                let bins = self.w.bins.as_ref().unwrap();
-                let addr = bins.bin_addr(core, bin) + self.bin_cursors[core][bin as usize];
-                ev.push(Event::stream_store(addr, 8, DataClass::Updates));
-                self.bin_cursors[core][bin as usize] += 8;
-            }
-            self.record_binned(core, bin, update);
+            self.bin_update(core, ev, bin, ((dst as u64) << 32) | *p as u64);
         }
     }
 
-    fn record_binned(&mut self, core: usize, bin: u32, update: u64) {
+    /// Bins one update: through the core's binning compressor under
+    /// SpZip, otherwise as a streaming store at the bin's cursor. Either
+    /// way the update is recorded for the accumulation phase.
+    fn bin_update(&mut self, core: usize, ev: &mut Vec<Event>, bin: u32, update: u64) {
+        if self.cfg.spzip {
+            let q = self.bin_pipes[core].bin_q;
+            let eng = self.comp_engines[core]
+                .as_mut()
+                .expect("SpZip binning builds a compressor per core");
+            eng.enqueue_value(q, bin as u64, 4);
+            eng.enqueue_value(q, update, 8);
+            ev.push(Event::CompressorEnqueue { q, quarters: 4 });
+            ev.push(Event::CompressorEnqueue { q, quarters: 8 });
+        } else {
+            let bins = self.w.bins.as_ref().expect("binning needs bins");
+            let addr = bins.bin_addr(core, bin) + self.bin_cursors[core][bin as usize];
+            ev.push(Event::stream_store(addr, 8, DataClass::Updates));
+            self.bin_cursors[core][bin as usize] += 8;
+        }
         if let Some(binned) = self.binned.as_deref_mut() {
             binned[core][bin as usize].push(update);
         }
@@ -786,7 +770,7 @@ impl TraversalSource<'_> {
                 }
                 ev.push(Event::Compute(self.cost.sw_per_edge));
                 let payload = self.alg.payload(self.w, src, e);
-                self.edge_action(core, &mut ev, src, dst, payload);
+                self.edge_action(core, &mut ev, dst, payload);
             }
         }
         CoreWork {
@@ -800,51 +784,34 @@ impl TraversalSource<'_> {
     #[allow(clippy::while_let_loop)] // dequeue loops break mid-body
     fn spzip_chunk(&mut self, core: usize, chunk: Chunk) -> CoreWork {
         let trav = self.trav.clone().unwrap();
-        let mut eng = FuncEngine::new(trav.pipeline.clone());
-        // Enqueue the chunk's inputs.
+        // The chunk's input ranges.
+        let mut ranges = Vec::new();
         match chunk {
             Chunk::VertexRange { lo, hi } => {
                 if let Some(cadj) = &self.w.cadj {
                     let g = cadj.group_rows;
                     debug_assert_eq!(lo % g, 0);
                     // Offsets of groups glo..ghi need glo..=ghi entries.
-                    eng.enqueue_value(trav.in_q, (lo / g) as u64, 8);
-                    eng.enqueue_value(trav.in_q, hi.div_ceil(g) as u64 + 1, 8);
+                    ranges.push((trav.in_q, (lo / g) as u64, hi.div_ceil(g) as u64 + 1));
                 } else {
-                    eng.enqueue_value(trav.in_q, lo as u64, 8);
-                    eng.enqueue_value(trav.in_q, hi as u64 + 1, 8);
+                    ranges.push((trav.in_q, lo as u64, hi as u64 + 1));
                 }
                 if let Some(src_in) = trav.src_in_q {
                     if let Some(csrc) = &self.w.csrc {
                         let c = csrc.chunk_elems;
-                        for ci in (lo / c)..hi.div_ceil(c) {
+                        ranges.extend(((lo / c)..hi.div_ceil(c)).map(|ci| {
                             let off = csrc.chunk_addr(ci as usize) - csrc.base;
-                            let len = csrc.lens[ci as usize] as u64;
-                            eng.enqueue_value(src_in, off, 8);
-                            eng.enqueue_value(src_in, off + len, 8);
-                        }
+                            (src_in, off, off + csrc.lens[ci as usize] as u64)
+                        }));
                     } else {
-                        eng.enqueue_value(src_in, lo as u64, 8);
-                        eng.enqueue_value(src_in, hi as u64, 8);
+                        ranges.push((src_in, lo as u64, hi as u64));
                     }
                 }
             }
-            Chunk::FrontierRange { lo, hi } => {
-                eng.enqueue_value(trav.in_q, lo as u64, 8);
-                eng.enqueue_value(trav.in_q, hi as u64, 8);
-            }
-            Chunk::CFrontier(c) => {
-                eng.enqueue_value(trav.in_q, c.pos, 8);
-                eng.enqueue_value(trav.in_q, c.pos + c.len as u64, 8);
-            }
+            Chunk::FrontierRange { lo, hi } => ranges.push((trav.in_q, lo as u64, hi as u64)),
+            Chunk::CFrontier(c) => ranges.push((trav.in_q, c.pos, c.pos + c.len as u64)),
         }
-        eng.run(&mut self.w.img);
-
-        let mut ev: Vec<Event> = eng
-            .enqueue_log()
-            .iter()
-            .map(|&(q, quarters)| Event::FetcherEnqueue { q, quarters })
-            .collect();
+        let (mut eng, mut ev) = run_fetcher(&trav.pipeline, &ranges, &mut self.w.img);
 
         let neigh_items = eng.drain_output_costed(trav.neigh_q);
         let mut neigh_iter = neigh_items.into_iter().peekable();
@@ -892,7 +859,7 @@ impl TraversalSource<'_> {
                 debug_assert_eq!(dst, expect, "decompressed neighbor mismatch");
                 ev.push(Event::Compute(self.cost.spzip_per_edge));
                 let payload = self.alg.payload(self.w, src, e);
-                self.edge_action(core, &mut ev, src, dst, payload);
+                self.edge_action(core, &mut ev, dst, payload);
             }
         }
         // Trailing markers.
@@ -949,14 +916,11 @@ impl WorkSource for TraversalSource<'_> {
 fn run_accumulation(
     machine: &mut Machine,
     w: &mut Workload,
-    alg: &mut dyn Algorithm,
     cfg: &SchemeConfig,
     cost: &CostModel,
     cores: usize,
     binned: &[Vec<Vec<u64>>],
-    _activations: &[VertexId],
 ) {
-    let _ = alg;
     let num_bins = w.bins.as_ref().unwrap().num_bins;
     let accum_pipe = cfg.spzip.then(|| pipelines::accum_fetcher(w, cfg));
     if let Some(p) = &accum_pipe {
@@ -1001,48 +965,28 @@ fn run_accumulation(
         pool.reverse(); // pop() hands slices out first
 
         machine.run_phase(&mut |_core: usize| {
-            let item = pool.pop()?;
-            let mut ev = Vec::new();
-            let mut fetcher_trace = None;
-            match item {
+            let (ev, fetcher_trace) = match pool.pop()? {
                 Item::Slice(sc) => {
                     // Fetch + decompress one destination sub-chunk into
                     // staging.
                     let pipe = accum_pipe.as_ref().unwrap();
-                    let mut eng = FuncEngine::new(pipe.pipeline.clone());
-                    let cdst = w.cdst.as_ref().unwrap();
-                    let off = cdst.chunk_addr(sc) - cdst.base;
-                    let len = cdst.lens[sc] as u64;
-                    eng.enqueue_value(pipe.slice_in_q.unwrap(), off, 8);
-                    eng.enqueue_value(pipe.slice_in_q.unwrap(), off + len, 8);
-                    eng.run(&mut w.img);
-                    ev.extend(
-                        eng.enqueue_log()
-                            .iter()
-                            .map(|&(q, quarters)| Event::FetcherEnqueue { q, quarters }),
-                    );
+                    let range = slice_range(w, pipe, sc);
+                    let (mut eng, mut ev) = run_fetcher(&pipe.pipeline, &[range], &mut w.img);
                     let sv = pipe.slice_val_q.unwrap();
                     let stage_base = w.staging_addr
                         + (sc - sub_lo) as u64 * crate::layout::DST_SUBCHUNK as u64 * 4;
                     emit_slice_dequeues(&mut ev, &mut eng, sv, stage_base);
-                    fetcher_trace = Some(eng.take_firings());
+                    (ev, Some(eng.take_firings()))
                 }
                 Item::Seg(writer) => {
                     let updates = &binned[writer][bin as usize];
                     if let Some(pipe) = &accum_pipe {
                         // Fetch + decompress this writer's bin segment.
-                        let mut eng = FuncEngine::new(pipe.pipeline.clone());
                         let bins = w.bins.as_ref().unwrap();
                         let seg_off = bins.bin_addr(writer, bin) - bins.bins_base;
                         let tail = w.img.read_u64(bins.meta_addr(writer, bin));
-                        eng.enqueue_value(pipe.bin_in_q, seg_off, 8);
-                        eng.enqueue_value(pipe.bin_in_q, seg_off + tail, 8);
-                        eng.run(&mut w.img);
-                        ev.extend(
-                            eng.enqueue_log()
-                                .iter()
-                                .map(|&(q, quarters)| Event::FetcherEnqueue { q, quarters }),
-                        );
+                        let range = (pipe.bin_in_q, seg_off, seg_off + tail);
+                        let (mut eng, mut ev) = run_fetcher(&pipe.pipeline, &[range], &mut w.img);
                         let upd_items = eng.drain_output_costed(pipe.upd_q);
                         let mut decoded: Vec<u64> = Vec::new();
                         for (item, qcost) in upd_items {
@@ -1058,19 +1002,20 @@ fn run_accumulation(
                         // Sorted chunks permute updates; counts must match.
                         debug_assert_eq!(decoded.len(), updates.len(), "bin decode count");
                         apply_events(&mut ev, w, cost, bin, use_slice, &decoded);
-                        fetcher_trace = Some(eng.take_firings());
+                        (ev, Some(eng.take_firings()))
                     } else {
                         // Software accumulation: stream the raw bin.
-                        let bins = w.bins.as_ref().unwrap();
-                        let base = bins.bin_addr(writer, bin);
+                        let mut ev = Vec::new();
+                        let base = w.bins.as_ref().unwrap().bin_addr(writer, bin);
                         for (i, &u) in updates.iter().enumerate() {
                             ev.push(Event::load(base + i as u64 * 8, 8, DataClass::Updates));
                             ev.push(Event::Compute(cost.accum_update));
                             apply_events(&mut ev, w, cost, bin, false, &[u]);
                         }
+                        (ev, None)
                     }
                 }
-            }
+            };
             Some(CoreWork {
                 events: ev,
                 fetcher_trace,
@@ -1117,6 +1062,42 @@ fn run_accumulation(
             }
         }
     }
+}
+
+/// Runs a fresh fetcher over `ranges`, each `(queue, lo, hi)` enqueued as
+/// two 8-byte values in order. Returns the engine, whose outputs and
+/// firings the caller drains, and the core's `FetcherEnqueue` events
+/// mirroring its enqueue log.
+fn run_fetcher(
+    pipeline: &Pipeline,
+    ranges: &[(QueueId, u64, u64)],
+    img: &mut MemoryImage,
+) -> (FuncEngine, Vec<Event>) {
+    let mut eng = FuncEngine::new(pipeline.clone());
+    for &(q, lo, hi) in ranges {
+        eng.enqueue_value(q, lo, 8);
+        eng.enqueue_value(q, hi, 8);
+    }
+    eng.run(img);
+    let ev = eng
+        .enqueue_log()
+        .iter()
+        .map(|&(q, quarters)| Event::FetcherEnqueue { q, quarters })
+        .collect();
+    (eng, ev)
+}
+
+/// The fetcher input range of compressed destination sub-chunk `sc`.
+fn slice_range(w: &Workload, pipe: &pipelines::AccumFetchPipe, sc: usize) -> (QueueId, u64, u64) {
+    let cdst = w
+        .cdst
+        .as_ref()
+        .expect("slices need a compressed destination array");
+    let off = cdst.chunk_addr(sc) - cdst.base;
+    let q = pipe
+        .slice_in_q
+        .expect("vertex compression adds a slice input queue");
+    (q, off, off + cdst.lens[sc] as u64)
 }
 
 /// Emits the events that apply updates to destination data.
@@ -1215,13 +1196,7 @@ fn emit_slice_dequeues(
 // Vertex phase (e.g. PR contribution recompute)
 // ======================================================================
 
-fn run_vertex_phase(
-    machine: &mut Machine,
-    w: &mut Workload,
-    cfg: &SchemeConfig,
-    cost: &CostModel,
-    cores: usize,
-) {
+fn run_vertex_phase(machine: &mut Machine, w: &mut Workload, cfg: &SchemeConfig, cost: &CostModel) {
     let n = w.n() as u32;
     if cfg.compress_vertex && w.cdst.is_some() && w.csrc.is_some() {
         // Compressed: stream scores through the fetcher, write contribs as
@@ -1244,18 +1219,8 @@ fn run_vertex_phase(
             }
             let b = slice;
             slice += 1;
-            let cdst = w.cdst.as_ref().unwrap();
-            let mut eng = FuncEngine::new(pipe.pipeline.clone());
-            let off = cdst.chunk_addr(b) - cdst.base;
-            let len = cdst.lens[b] as u64;
-            eng.enqueue_value(pipe.slice_in_q.unwrap(), off, 8);
-            eng.enqueue_value(pipe.slice_in_q.unwrap(), off + len, 8);
-            eng.run(&mut w.img);
-            let mut ev: Vec<Event> = eng
-                .enqueue_log()
-                .iter()
-                .map(|&(q, quarters)| Event::FetcherEnqueue { q, quarters })
-                .collect();
+            let range = slice_range(w, &pipe, b);
+            let (mut eng, mut ev) = run_fetcher(&pipe.pipeline, &[range], &mut w.img);
             let sv = pipe.slice_val_q.unwrap();
             let mut val_run = 0u16;
             for (item, qcost) in eng.drain_output_costed(sv) {
@@ -1324,7 +1289,6 @@ fn run_vertex_phase(
             lo = hi;
         }
         let mut next = 0usize;
-        let _ = cores;
         machine.run_phase(&mut |_core: usize| {
             if next >= chunks.len() {
                 return None;

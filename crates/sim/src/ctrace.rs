@@ -18,16 +18,13 @@
 //!   bit-plane compression ([`BpcCodec`]);
 //! * each column is one self-delimiting codec frame; a chunk's payload is
 //!   the frames concatenated in a fixed order, stamped with a sequence
-//!   number and an FNV-1a content hash.
+//!   number.
 //!
-//! The content hash fingerprints a chunk's encoding: equal event blocks
-//! encode to equal bytes, so re-encoding a decoded trace must reproduce
-//! every hash. (It no longer keys a decode memo in
-//! [`crate::sanitize::analyze_compressed`]: cycle stamps make every real
-//! chunk distinct, so that memo never hit.) The sequence numbers make
-//! reordered or duplicated chunks — however they arise — detectable as
-//! `S010` trace-integrity violations instead of silently corrupted
-//! verdicts.
+//! Every column codec is deterministic, so equal event blocks encode to
+//! equal bytes and re-encoding a decoded trace reproduces every chunk's
+//! payload. The sequence numbers make reordered or duplicated chunks —
+//! however they arise — detectable as `S010` trace-integrity violations
+//! instead of silently corrupted verdicts.
 //!
 //! Decoding is strict: column lengths must match the tag column, tags and
 //! packed metadata must be in range, and every byte of the payload must
@@ -44,8 +41,8 @@ use spzip_mem::sanitize::{Actor, MemRecord};
 use spzip_mem::{DataClass, MemOp};
 
 /// Version of the compressed-trace wire format and its chunk-level
-/// analysis, bumped whenever the column layout, the column codecs, the
-/// hash, or the summarization semantics change. Folded into the bench
+/// analysis, bumped whenever the column layout, the column codecs, or the
+/// summarization semantics change. Folded into the bench
 /// driver's cache fingerprint (sanitized verdicts depend on it) next to
 /// `CODEC_VERSION`.
 pub const SANITIZE_TRACE_VERSION: u32 = 1;
@@ -71,11 +68,8 @@ pub struct Chunk {
     /// Number of events encoded in the payload.
     pub events: u32,
     /// Concatenated self-delimiting column frames (see module docs).
+    /// Equal event sequences encode to equal bytes.
     pub bytes: Vec<u8>,
-    /// FNV-1a hash of `bytes`, a content-only fingerprint. Equal event
-    /// sequences encode to equal bytes (every column codec is
-    /// deterministic), so equal hashes.
-    pub hash: u64,
 }
 
 /// Event tags, the first column of every chunk.
@@ -142,17 +136,6 @@ fn unpack_meta(meta: u64) -> Result<(u32, MemOp, DataClass), DecodeError> {
     let op = op_from_index((meta >> 4) & 0xF)?;
     let class = class_from_index(meta & 0xF)?;
     Ok((bytes as u32, op, class))
-}
-
-/// FNV-1a over a byte slice (the same hash family the bench cache keys
-/// use; trace chunks only need a stable, well-mixed content key).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Column staging reused across chunk seals, so steady-state recording
@@ -361,7 +344,7 @@ impl CTrace {
 }
 
 /// Encodes one chunk: columnar split, per-column codec, fixed frame
-/// order, content hash.
+/// order.
 fn encode_chunk(seq: u64, events: &[TraceEvent], scratch: &mut ColumnScratch) -> Chunk {
     debug_assert!(!events.is_empty() && events.len() <= CHUNK_EVENTS);
     scratch.clear();
@@ -431,12 +414,10 @@ fn encode_chunk(seq: u64, events: &[TraceEvent], scratch: &mut ColumnScratch) ->
     if !scratch.metas.is_empty() {
         rle.compress(&scratch.metas, &mut bytes);
     }
-    let hash = fnv1a(&bytes);
     Chunk {
         seq,
         events: events.len() as u32,
         bytes,
-        hash,
     }
 }
 
@@ -703,23 +684,22 @@ mod tests {
     }
 
     #[test]
-    fn identical_chunks_hash_identically_and_distinct_ones_differ() {
+    fn identical_chunks_encode_identically_and_distinct_ones_differ() {
         let events = sample_events(CHUNK_EVENTS);
         let a = CTrace::from_events(4, &events);
         let b = CTrace::from_events(4, &events);
-        assert_eq!(a.chunks()[0].hash, b.chunks()[0].hash);
         assert_eq!(a.chunks()[0].bytes, b.chunks()[0].bytes);
 
         let mut other = events.clone();
         other[17] = TraceEvent::Barrier { cycle: 999_999 };
         let c = CTrace::from_events(4, &other);
-        assert_ne!(a.chunks()[0].hash, c.chunks()[0].hash);
+        assert_ne!(a.chunks()[0].bytes, c.chunks()[0].bytes);
     }
 
     #[test]
-    fn repeated_identical_blocks_produce_equal_hashes() {
+    fn repeated_identical_blocks_produce_equal_bytes() {
         // A tight loop: the same 1024-event block recorded three times
-        // yields three chunks with one distinct hash.
+        // yields three chunks with one distinct payload.
         let block = sample_events(CHUNK_EVENTS);
         let mut t = CTrace::new(4);
         for _ in 0..3 {
@@ -727,8 +707,8 @@ mod tests {
         }
         t.seal();
         assert_eq!(t.chunks().len(), 3);
-        assert_eq!(t.chunks()[0].hash, t.chunks()[1].hash);
-        assert_eq!(t.chunks()[1].hash, t.chunks()[2].hash);
+        assert_eq!(t.chunks()[0].bytes, t.chunks()[1].bytes);
+        assert_eq!(t.chunks()[1].bytes, t.chunks()[2].bytes);
     }
 
     #[test]
@@ -764,10 +744,9 @@ mod tests {
             broken.chunks_mut()[0].bytes[i] ^= 0xA5;
             let mut out = Vec::new();
             // Either a decode error or (rarely) a valid reinterpretation
-            // — never a panic. A changed payload that still decodes must
-            // not decode to the original events *and* keep its hash.
+            // — never a panic.
             match decode_chunk(&broken.chunks()[0], &mut out) {
-                Ok(()) => assert_ne!(fnv1a(&broken.chunks()[0].bytes), t.chunks()[0].hash),
+                Ok(()) => assert_ne!(broken.chunks()[0].bytes, t.chunks()[0].bytes),
                 Err(e) => assert!(!e.to_string().is_empty()),
             }
         }

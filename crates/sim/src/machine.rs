@@ -17,6 +17,7 @@ use crate::sanitize::{RunContext, SanitizeReport, TraceEvent, Violation};
 use spzip_core::dcl::Pipeline;
 use spzip_core::engine::{EngineConfig, EngineModel};
 use spzip_core::func::Firing;
+use spzip_core::QueueId;
 use spzip_mem::hierarchy::{MemConfig, MemorySystem};
 #[cfg(feature = "sanitize")]
 use spzip_mem::sanitize::Actor;
@@ -29,6 +30,30 @@ use std::collections::VecDeque;
 type SanitizeSlot = Option<CTrace>;
 #[cfg(not(feature = "sanitize"))]
 type SanitizeSlot = ();
+
+/// Index of the fetcher in a core's engine pair.
+const FETCHER: usize = 0;
+/// Index of the compressor in a core's engine pair.
+const COMPRESSOR: usize = 1;
+/// Engine names in pair order, as deadlock reports spell the actors.
+const ENGINE_NAMES: [&str; 2] = ["fetcher", "compressor"];
+
+/// The sanitizer actor of engine `e` of core `core`.
+#[cfg(feature = "sanitize")]
+fn engine_actor(e: usize, core: usize) -> Actor {
+    [Actor::Fetcher(core), Actor::Compressor(core)][e]
+}
+
+/// A core-side queue instruction, aimed at one engine of the core's pair.
+#[derive(Debug, Clone, Copy)]
+enum QueueOp {
+    /// Push quarter-words into an input queue; blocks while it is full.
+    Push(QueueId, u16),
+    /// Pop quarter-words from an output queue; blocks while it holds less.
+    Pop(QueueId, u16),
+    /// Wait until the engine has drained all in-flight work.
+    Drain,
+}
 
 /// One blocked actor in a wedged machine and what it waits on — an edge
 /// of the wait-for graph at the moment the watchdog tripped.
@@ -169,8 +194,8 @@ pub struct Machine {
     cfg: MachineConfig,
     mem: MemorySystem,
     cores: Vec<CoreState>,
-    fetchers: Vec<EngineModel>,
-    compressors: Vec<EngineModel>,
+    /// Each core's engine pair, indexed by [`FETCHER`] and [`COMPRESSOR`].
+    engines: Vec<[EngineModel; 2]>,
     now: u64,
     /// Set when the watchdog trips; poisons subsequent phases.
     deadlock: Option<DeadlockReport>,
@@ -188,9 +213,13 @@ impl Machine {
         Machine {
             mem: MemorySystem::new(cfg.mem),
             cores: (0..n).map(|_| CoreState::default()).collect(),
-            fetchers: (0..n).map(|i| EngineModel::new(cfg.fetcher, i)).collect(),
-            compressors: (0..n)
-                .map(|i| EngineModel::new(cfg.compressor, i))
+            engines: (0..n)
+                .map(|i| {
+                    [
+                        EngineModel::new(cfg.fetcher, i),
+                        EngineModel::new(cfg.compressor, i),
+                    ]
+                })
                 .collect(),
             now: 0,
             deadlock: None,
@@ -207,11 +236,8 @@ impl Machine {
     #[cfg(feature = "sanitize")]
     pub fn enable_sanitizer(&mut self) {
         self.mem.enable_probe();
-        for f in &mut self.fetchers {
-            f.set_queue_logging(true);
-        }
-        for c in &mut self.compressors {
-            c.set_queue_logging(true);
+        for engine in self.engines.iter_mut().flatten() {
+            engine.set_queue_logging(true);
         }
         if self.sanitize.is_none() {
             self.sanitize = Some(CTrace::new(self.cfg.mem.cores));
@@ -255,26 +281,19 @@ impl Machine {
 
     /// Loads a DCL program into every core's fetcher.
     pub fn load_fetcher_program(&mut self, pipeline: &Pipeline) {
-        for f in &mut self.fetchers {
-            f.load_program(pipeline, self.now);
-        }
-    }
-
-    /// Loads a DCL program into every core's compressor.
-    pub fn load_compressor_program(&mut self, pipeline: &Pipeline) {
-        for c in &mut self.compressors {
-            c.load_program(pipeline, self.now);
+        for pair in &mut self.engines {
+            pair[FETCHER].load_program(pipeline, self.now);
         }
     }
 
     /// Loads a DCL program into one core's fetcher only.
     pub fn load_fetcher_program_for(&mut self, core: usize, pipeline: &Pipeline) {
-        self.fetchers[core].load_program(pipeline, self.now);
+        self.engines[core][FETCHER].load_program(pipeline, self.now);
     }
 
     /// Loads a DCL program into one core's compressor only.
     pub fn load_compressor_program_for(&mut self, core: usize, pipeline: &Pipeline) {
-        self.compressors[core].load_program(pipeline, self.now);
+        self.engines[core][COMPRESSOR].load_program(pipeline, self.now);
     }
 
     /// Overrides the fetcher scratchpad size on every core (the Fig. 21
@@ -283,13 +302,11 @@ impl Machine {
         self.cfg.fetcher.scratchpad_bytes = bytes;
         #[cfg(feature = "sanitize")]
         let relog = self.sanitize.is_some();
-        for (i, f) in self.fetchers.iter_mut().enumerate() {
-            let mut cfg = self.cfg.fetcher;
-            cfg.scratchpad_bytes = bytes;
-            *f = EngineModel::new(cfg, i);
+        for (i, pair) in self.engines.iter_mut().enumerate() {
+            pair[FETCHER] = EngineModel::new(self.cfg.fetcher, i);
             #[cfg(feature = "sanitize")]
             if relog {
-                f.set_queue_logging(true);
+                pair[FETCHER].set_queue_logging(true);
             }
         }
     }
@@ -324,11 +341,11 @@ impl Machine {
                     match source.next(i) {
                         Some(work) => {
                             self.cores[i].events.extend(work.events);
-                            if let Some(t) = work.fetcher_trace {
-                                self.fetchers[i].append_trace(t);
-                            }
-                            if let Some(t) = work.compressor_trace {
-                                self.compressors[i].append_trace(t);
+                            let traces = [work.fetcher_trace, work.compressor_trace];
+                            for (engine, trace) in self.engines[i].iter_mut().zip(traces) {
+                                if let Some(t) = trace {
+                                    engine.append_trace(t);
+                                }
                             }
                         }
                         None => self.cores[i].exhausted = true,
@@ -346,8 +363,7 @@ impl Machine {
                     &self.cfg,
                     i,
                     &mut self.cores[i],
-                    &mut self.fetchers[i],
-                    &mut self.compressors[i],
+                    &mut self.engines[i],
                     &mut self.mem,
                     self.now,
                     quantum,
@@ -355,22 +371,17 @@ impl Machine {
                 );
             }
             for i in 0..self.cores.len() {
-                progressed |= self.fetchers[i].tick(self.now, quantum, &mut self.mem) > 0;
-                #[cfg(feature = "sanitize")]
-                drain_engine_events(
-                    &mut self.sanitize,
-                    &mut self.mem,
-                    &mut self.fetchers[i],
-                    Actor::Fetcher(i),
-                );
-                progressed |= self.compressors[i].tick(self.now, quantum, &mut self.mem) > 0;
-                #[cfg(feature = "sanitize")]
-                drain_engine_events(
-                    &mut self.sanitize,
-                    &mut self.mem,
-                    &mut self.compressors[i],
-                    Actor::Compressor(i),
-                );
+                for e in [FETCHER, COMPRESSOR] {
+                    let engine = &mut self.engines[i][e];
+                    progressed |= engine.tick(self.now, quantum, &mut self.mem) > 0;
+                    #[cfg(feature = "sanitize")]
+                    drain_engine_events(
+                        &mut self.sanitize,
+                        &mut self.mem,
+                        engine,
+                        engine_actor(e, i),
+                    );
+                }
             }
             self.now += quantum;
             if progressed {
@@ -395,8 +406,7 @@ impl Machine {
         self.cores
             .iter()
             .all(|c| c.exhausted && c.events.is_empty() && c.t <= self.now)
-            && self.fetchers.iter().all(|f| f.idle())
-            && self.compressors.iter().all(|c| c.idle())
+            && self.engines.iter().flatten().all(|e| e.idle())
     }
 
     /// The watchdog's structured wait-for report, if this machine wedged.
@@ -413,8 +423,7 @@ impl Machine {
 
     fn deadlock_report(&mut self, last_progress: u64) -> DeadlockReport {
         let mut edges = Vec::new();
-        let mut fetcher_occupancy = Vec::new();
-        let mut compressor_occupancy = Vec::new();
+        let mut occupancy = [Vec::new(), Vec::new()];
         for i in 0..self.cores.len() {
             if let Some(ev) = self.cores[i].events.front() {
                 edges.push(WaitForEdge {
@@ -422,24 +431,22 @@ impl Machine {
                     waits_on: format!("{ev:?}"),
                 });
             }
-            if !self.fetchers[i].idle() {
-                edges.push(WaitForEdge {
-                    actor: format!("fetcher {i}"),
-                    waits_on: format!("{:?}", self.fetchers[i].stall_reason(self.now)),
-                });
+            for e in [FETCHER, COMPRESSOR] {
+                let engine = &mut self.engines[i][e];
+                if !engine.idle() {
+                    edges.push(WaitForEdge {
+                        actor: format!("{} {i}", ENGINE_NAMES[e]),
+                        waits_on: format!("{:?}", engine.stall_reason(self.now)),
+                    });
+                }
+                occupancy[e].push(
+                    (0..engine.queue_count())
+                        .map(|q| engine.occupancy(q as u8))
+                        .collect(),
+                );
             }
-            if !self.compressors[i].idle() {
-                edges.push(WaitForEdge {
-                    actor: format!("compressor {i}"),
-                    waits_on: format!("{:?}", self.compressors[i].stall_reason(self.now)),
-                });
-            }
-            let occ = |e: &EngineModel| -> Vec<u32> {
-                (0..e.queue_count()).map(|q| e.occupancy(q as u8)).collect()
-            };
-            fetcher_occupancy.push(occ(&self.fetchers[i]));
-            compressor_occupancy.push(occ(&self.compressors[i]));
         }
+        let [fetcher_occupancy, compressor_occupancy] = occupancy;
         DeadlockReport {
             at_cycle: self.now,
             last_progress,
@@ -498,8 +505,8 @@ impl Machine {
 
     fn build_report(&mut self) -> RunReport {
         self.mem.flush_dirty();
-        let fetcher_fired: u64 = self.fetchers.iter().map(|f| f.fired).sum();
-        let compressor_fired: u64 = self.compressors.iter().map(|c| c.fired).sum();
+        let fired = |e: usize| -> u64 { self.engines.iter().map(|pair| pair[e].fired).sum() };
+        let (fetcher_fired, compressor_fired) = (fired(FETCHER), fired(COMPRESSOR));
         RunReport {
             cycles: self.now,
             traffic: self.mem.stats().clone(),
@@ -561,8 +568,7 @@ fn advance_core(
     cfg: &MachineConfig,
     core_id: usize,
     core: &mut CoreState,
-    fetcher: &mut EngineModel,
-    compressor: &mut EngineModel,
+    engines: &mut [EngineModel; 2],
     mem: &mut MemorySystem,
     now: u64,
     quantum: u64,
@@ -579,12 +585,13 @@ fn advance_core(
         let Some(&ev) = core.events.front() else {
             break;
         };
-        match ev {
+        let (e, op) = match ev {
             Event::Compute(n) => {
                 core.t += n as u64;
                 core.events.pop_front();
                 core.retired_events += 1;
                 progressed = true;
+                continue;
             }
             Event::Mem(acc) => {
                 // Need a free slot in the outstanding-miss window.
@@ -622,110 +629,68 @@ fn advance_core(
                 core.events.pop_front();
                 core.retired_events += 1;
                 progressed = true;
+                continue;
             }
-            Event::FetcherEnqueue { q, quarters } => {
-                if fetcher.can_enqueue(q, quarters) {
-                    fetcher.enqueue(q, quarters);
-                    #[cfg(feature = "sanitize")]
-                    if let Some(tr) = sanitize.as_mut() {
-                        tr.record(TraceEvent::Push {
-                            actor: Actor::Core(core_id),
-                            engine: Actor::Fetcher(core_id),
-                            q,
-                            quarters: quarters as u32,
-                            cycle: core.t,
-                        });
-                    }
-                    core.t += cfg.queue_op_cycles as u64;
-                    core.events.pop_front();
-                    core.retired_events += 1;
-                    progressed = true;
-                } else {
-                    core.stall_cycles += deadline - core.t;
-                    core.t = deadline;
-                }
-            }
-            Event::FetcherDequeue { q, quarters } => {
-                if fetcher.can_dequeue(q, quarters) {
-                    fetcher.dequeue(q, quarters);
-                    #[cfg(feature = "sanitize")]
-                    if let Some(tr) = sanitize.as_mut() {
-                        tr.record(TraceEvent::Pop {
-                            actor: Actor::Core(core_id),
-                            engine: Actor::Fetcher(core_id),
-                            q,
-                            quarters: quarters as u32,
-                            cycle: core.t,
-                        });
-                    }
-                    core.t += cfg.queue_op_cycles as u64;
-                    core.events.pop_front();
-                    core.retired_events += 1;
-                    progressed = true;
-                } else {
-                    core.stall_cycles += deadline - core.t;
-                    core.t = deadline;
-                }
-            }
-            Event::CompressorEnqueue { q, quarters } => {
-                if compressor.can_enqueue(q, quarters) {
-                    compressor.enqueue(q, quarters);
-                    #[cfg(feature = "sanitize")]
-                    if let Some(tr) = sanitize.as_mut() {
-                        tr.record(TraceEvent::Push {
-                            actor: Actor::Core(core_id),
-                            engine: Actor::Compressor(core_id),
-                            q,
-                            quarters: quarters as u32,
-                            cycle: core.t,
-                        });
-                    }
-                    core.t += cfg.queue_op_cycles as u64;
-                    core.events.pop_front();
-                    core.retired_events += 1;
-                    progressed = true;
-                } else {
-                    core.stall_cycles += deadline - core.t;
-                    core.t = deadline;
-                }
-            }
-            Event::CompressorDrain => {
-                if compressor.idle() {
-                    #[cfg(feature = "sanitize")]
-                    if let Some(tr) = sanitize.as_mut() {
-                        tr.record(TraceEvent::Drain {
-                            actor: Actor::Core(core_id),
-                            engine: Actor::Compressor(core_id),
-                            cycle: core.t,
-                        });
-                    }
-                    core.events.pop_front();
-                    core.retired_events += 1;
-                    progressed = true;
-                } else {
-                    core.stall_cycles += deadline - core.t;
-                    core.t = deadline;
-                }
-            }
-            Event::FetcherDrain => {
-                if fetcher.idle() {
-                    #[cfg(feature = "sanitize")]
-                    if let Some(tr) = sanitize.as_mut() {
-                        tr.record(TraceEvent::Drain {
-                            actor: Actor::Core(core_id),
-                            engine: Actor::Fetcher(core_id),
-                            cycle: core.t,
-                        });
-                    }
-                    core.events.pop_front();
-                    core.retired_events += 1;
-                    progressed = true;
-                } else {
-                    core.stall_cycles += deadline - core.t;
-                    core.t = deadline;
-                }
-            }
+            Event::FetcherEnqueue { q, quarters } => (FETCHER, QueueOp::Push(q, quarters)),
+            Event::FetcherDequeue { q, quarters } => (FETCHER, QueueOp::Pop(q, quarters)),
+            Event::FetcherDrain => (FETCHER, QueueOp::Drain),
+            Event::CompressorEnqueue { q, quarters } => (COMPRESSOR, QueueOp::Push(q, quarters)),
+            Event::CompressorDrain => (COMPRESSOR, QueueOp::Drain),
+        };
+        // The one queue-op path: a blocked op retires nothing and stalls
+        // the core for the rest of the quantum.
+        let target = &mut engines[e];
+        let ready = match op {
+            QueueOp::Push(q, n) => target.can_enqueue(q, n),
+            QueueOp::Pop(q, n) => target.can_dequeue(q, n),
+            QueueOp::Drain => target.idle(),
+        };
+        if !ready {
+            core.stall_cycles += deadline - core.t;
+            core.t = deadline;
+            continue;
         }
+        #[cfg(feature = "sanitize")]
+        if let Some(tr) = sanitize.as_mut() {
+            let (actor, engine, cycle) = (Actor::Core(core_id), engine_actor(e, core_id), core.t);
+            tr.record(match op {
+                QueueOp::Push(q, n) => TraceEvent::Push {
+                    actor,
+                    engine,
+                    q,
+                    quarters: n as u32,
+                    cycle,
+                },
+                QueueOp::Pop(q, n) => TraceEvent::Pop {
+                    actor,
+                    engine,
+                    q,
+                    quarters: n as u32,
+                    cycle,
+                },
+                QueueOp::Drain => TraceEvent::Drain {
+                    actor,
+                    engine,
+                    cycle,
+                },
+            });
+        }
+        // Enqueue and dequeue instructions take `queue_op_cycles`; a drain
+        // that finds the engine idle costs nothing.
+        core.t += match op {
+            QueueOp::Push(q, n) => {
+                target.enqueue(q, n);
+                cfg.queue_op_cycles as u64
+            }
+            QueueOp::Pop(q, n) => {
+                target.dequeue(q, n);
+                cfg.queue_op_cycles as u64
+            }
+            QueueOp::Drain => 0,
+        };
+        core.events.pop_front();
+        core.retired_events += 1;
+        progressed = true;
     }
     progressed
 }
@@ -739,6 +704,27 @@ mod tests {
         let mut cfg = MachineConfig::paper_scaled();
         cfg.mem.cores = 2;
         cfg
+    }
+
+    /// A lint-clean one-operator program: a range fetch from input queue
+    /// `q0` to output queue `q1`. Returns `(pipeline, q0, q1)`.
+    fn range_fetch_pipeline() -> (Pipeline, QueueId, QueueId) {
+        let mut b = spzip_core::dcl::PipelineBuilder::new();
+        let q0 = b.queue(16);
+        let q1 = b.queue(16);
+        b.operator(
+            spzip_core::dcl::OperatorKind::RangeFetch {
+                base: 0x1000,
+                idx_bytes: 8,
+                elem_bytes: 8,
+                input: spzip_core::dcl::RangeInput::Pairs,
+                marker: None,
+                class: DataClass::AdjacencyMatrix,
+            },
+            q0,
+            vec![q1],
+        );
+        (b.build().unwrap(), q0, q1)
     }
 
     /// A source handing each core a fixed list of batches.
@@ -891,25 +877,10 @@ mod tests {
         let mut cfg = tiny_config();
         cfg.deadlock_cycles = 2_000;
         let mut m = Machine::new(cfg);
-        // A lint-clean one-operator program whose trace is never appended:
-        // the engine consumes nothing, so the core's enqueues eventually
-        // block forever on a full queue.
-        let mut b = spzip_core::dcl::PipelineBuilder::new();
-        let q0 = b.queue(16);
-        let q1 = b.queue(16);
-        b.operator(
-            spzip_core::dcl::OperatorKind::RangeFetch {
-                base: 0x1000,
-                idx_bytes: 8,
-                elem_bytes: 8,
-                input: spzip_core::dcl::RangeInput::Pairs,
-                marker: None,
-                class: DataClass::AdjacencyMatrix,
-            },
-            q0,
-            vec![q1],
-        );
-        let p = b.build().unwrap();
+        // A program whose trace is never appended: the engine consumes
+        // nothing, so the core's enqueues eventually block forever on a
+        // full queue.
+        let (p, q0, _) = range_fetch_pipeline();
         m.load_fetcher_program_for(0, &p);
         let events: Vec<Event> = (0..200)
             .map(|_| Event::FetcherEnqueue { q: q0, quarters: 8 })
@@ -954,6 +925,133 @@ mod tests {
             "poisoned phase drains its source"
         );
         assert!(m.take_deadlock().is_some());
+    }
+
+    #[test]
+    fn every_queue_event_takes_the_one_queue_op_path() {
+        let mut m = Machine::new(tiny_config());
+        #[cfg(feature = "sanitize")]
+        m.enable_sanitizer();
+        // Core 1, so a sanitizer record naming core 0 would be caught.
+        const CORE: usize = 1;
+        let (p, q_in, q_out) = range_fetch_pipeline();
+        m.load_fetcher_program_for(CORE, &p);
+        m.load_compressor_program_for(CORE, &p);
+        let (quantum, op_cycles) = (m.cfg.quantum, m.cfg.queue_op_cycles as u64);
+        // Runs `events` on a fresh core for one quantum from cycle 0.
+        let step = |m: &mut Machine, events: &[Event]| -> CoreState {
+            let mut core = CoreState {
+                events: events.iter().copied().collect(),
+                ..Default::default()
+            };
+            let engines = &mut m.engines[CORE];
+            advance_core(
+                &m.cfg,
+                CORE,
+                &mut core,
+                engines,
+                &mut m.mem,
+                0,
+                quantum,
+                &mut m.sanitize,
+            );
+            core
+        };
+
+        // Ops that fit retire; enqueue and dequeue cost `queue_op_cycles`,
+        // a drain of an idle engine costs nothing.
+        let quarters = 4;
+        m.engines[CORE][FETCHER].enqueue(q_out, quarters);
+        let fits = [
+            (Event::FetcherEnqueue { q: q_in, quarters }, op_cycles),
+            (Event::FetcherDequeue { q: q_out, quarters }, op_cycles),
+            (Event::CompressorEnqueue { q: q_in, quarters }, op_cycles),
+            (Event::FetcherDrain, 0),
+            (Event::CompressorDrain, 0),
+        ];
+        for (ev, cycles) in fits {
+            let core = step(&mut m, &[ev]);
+            let got = (core.retired_events, core.t, core.stall_cycles);
+            assert_eq!(got, (1, cycles, 0), "{ev:?}");
+        }
+        let [fetcher, compressor] = &m.engines[CORE];
+        assert_eq!(fetcher.occupancy(q_in), quarters as u32);
+        assert_eq!(fetcher.occupancy(q_out), 0);
+        assert_eq!(compressor.occupancy(q_in), quarters as u32);
+
+        // Blocked ops: full input queues, an empty output queue, and a
+        // fetcher with unfired work. Each retires nothing and charges the
+        // rest of the quantum after a 3-cycle compute.
+        for engine in &mut m.engines[CORE] {
+            while engine.can_enqueue(q_in, quarters) {
+                engine.enqueue(q_in, quarters);
+            }
+        }
+        let unfired = || {
+            vec![vec![Firing {
+                consumed_q: 8,
+                produced_q: 8,
+                mem: None,
+            }]]
+        };
+        m.engines[CORE][FETCHER].append_trace(unfired());
+        let blocked = |m: &mut Machine, ev: Event| {
+            let core = step(m, &[Event::Compute(3), ev]);
+            let got = (core.retired_events, core.t, core.stall_cycles);
+            assert_eq!(got, (1, quantum, quantum - 3), "{ev:?}");
+            assert_eq!(core.events.front(), Some(&ev));
+        };
+        // Every op but the compressor drain (the last one) now blocks.
+        for &(ev, _) in &fits[..4] {
+            blocked(&mut m, ev);
+        }
+        // A drain waits on its own engine only: the idle compressor still
+        // drains, and blocks once it has unfired work too.
+        assert_eq!(step(&mut m, &[Event::CompressorDrain]).retired_events, 1);
+        m.engines[CORE][COMPRESSOR].append_trace(unfired());
+        blocked(&mut m, Event::CompressorDrain);
+
+        // Each op that fit left one record naming the right engine; the
+        // blocked ones left none.
+        #[cfg(feature = "sanitize")]
+        {
+            use crate::sanitize::TraceEvent as T;
+            let (actor, fetcher, compressor) = (
+                Actor::Core(CORE),
+                Actor::Fetcher(CORE),
+                Actor::Compressor(CORE),
+            );
+            let push = |engine, q| T::Push {
+                actor,
+                engine,
+                q,
+                quarters: 4,
+                cycle: 0,
+            };
+            let pop = |engine, q| T::Pop {
+                actor,
+                engine,
+                q,
+                quarters: 4,
+                cycle: 0,
+            };
+            let drain = |engine| T::Drain {
+                actor,
+                engine,
+                cycle: 0,
+            };
+            let expected = vec![
+                push(fetcher, q_in),
+                pop(fetcher, q_out),
+                push(compressor, q_in),
+                drain(fetcher),
+                drain(compressor),
+                // The idle compressor's drain while the fetcher had work.
+                drain(compressor),
+            ];
+            let trace = m.sanitize.as_ref().unwrap();
+            assert_eq!(trace.decode_all().unwrap(), expected);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests on the compressed trace layer: for arbitrary
 //! event sequences, the columnar codec roundtrip is lossless, chunk
-//! hashing is a pure function of content, and the chunked analysis emits
+//! encoding is a pure function of content, and the chunked analysis emits
 //! the same verdicts as the legacy flat-trace analysis — the compressed
 //! path may never change what the sanitizer reports.
 
@@ -102,12 +102,12 @@ proptest! {
     }
 
     #[test]
-    fn chunk_hashes_are_content_deterministic(events in arb_events()) {
+    fn chunk_bytes_are_content_deterministic(events in arb_events()) {
         let a = CTrace::from_events(CORES, &events);
         let b = CTrace::from_events(CORES, &events);
-        let ha: Vec<u64> = a.chunks().iter().map(|c| c.hash).collect();
-        let hb: Vec<u64> = b.chunks().iter().map(|c| c.hash).collect();
-        prop_assert_eq!(ha, hb);
+        let ba: Vec<&[u8]> = a.chunks().iter().map(|c| &c.bytes[..]).collect();
+        let bb: Vec<&[u8]> = b.chunks().iter().map(|c| &c.bytes[..]).collect();
+        prop_assert_eq!(ba, bb);
         prop_assert_eq!(a.compressed_bytes(), b.compressed_bytes());
     }
 

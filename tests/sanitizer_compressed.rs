@@ -69,18 +69,18 @@ fn compressed_verdicts_match_oracle_on_every_cell() {
 
             // Chunk analysis is deterministic: re-analyzing yields the
             // same statistics, and re-encoding the decoded events yields
-            // the same chunk hashes.
+            // the same chunk bytes.
             let (_, s1) = analyze_compressed_stats(&san.trace, &san.context);
             let (_, s2) = analyze_compressed_stats(&san.trace, &san.context);
             assert_eq!(s1, s2, "{what}: analysis stats not deterministic");
             let events = san.trace.decode_all().expect("trace decodes");
             let reencoded = CTrace::from_events(san.trace.cores, &events);
-            let sealed: Vec<u64> = san.trace.chunks().iter().map(|c| c.hash).collect();
-            let regrown: Vec<u64> = reencoded.chunks().iter().map(|c| c.hash).collect();
+            let sealed: Vec<&[u8]> = san.trace.chunks().iter().map(|c| &c.bytes[..]).collect();
+            let regrown: Vec<&[u8]> = reencoded.chunks().iter().map(|c| &c.bytes[..]).collect();
             assert_eq!(
                 &regrown[..sealed.len()],
                 &sealed[..],
-                "{what}: re-encoding changed sealed chunk hashes"
+                "{what}: re-encoding changed sealed chunk bytes"
             );
         }
     }
